@@ -99,6 +99,12 @@ pub const LINTS: &[LintInfo] = &[
         hint: "delete the `ss-analyze: allow(...)` comment (the code it excused is gone)",
     },
     LintInfo {
+        id: "a0-unresolved-entry",
+        summary: "every reachability entry point must name a function that exists",
+        hint: "re-point `a10::ENTRY_POINTS` at wherever the function moved (a dropped entry \
+               silently shrinks what a10 inspects)",
+    },
+    LintInfo {
         id: "a1-atomic-ordering",
         summary: "every `Ordering::Relaxed`/`Ordering::SeqCst` use must carry an `ordering:` \
                   comment naming the happens-before edge it relies on (or forgoes)",

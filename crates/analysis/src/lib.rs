@@ -48,9 +48,17 @@ pub struct Analysis {
     pub sources: usize,
     /// Number of manifests analyzed.
     pub manifests: usize,
+    /// Well-formed `ss-analyze: allow` directives outside this crate
+    /// (whose sources only *describe* the syntax): the debt an empty
+    /// baseline hides. CI ratchets the count down.
+    pub suppressions: usize,
+    /// [`Analysis::suppressions`] per lint id, in catalog order (a
+    /// directive naming two lints counts under both).
+    pub suppressions_per_lint: Vec<(&'static str, usize)>,
 }
 
-/// Runs every lint over the workspace rooted at `root`.
+/// Runs every lint over the workspace rooted at `root`, and checks that
+/// every a10 entry point still resolves against the real tree.
 pub fn analyze(root: &Path) -> io::Result<Analysis> {
     let inputs = walk::collect(root)?;
     let files: Vec<SourceFile> = inputs
@@ -63,12 +71,22 @@ pub fn analyze(root: &Path) -> io::Result<Analysis> {
         .iter()
         .map(|i| manifest::parse(&i.path, &i.text))
         .collect();
-    Ok(analyze_parsed(&files, &manifests))
+    Ok(run(&files, &manifests, passes::a10::ENTRY_POINTS))
 }
 
 /// Analysis over already-parsed inputs (the test seam: fixtures build
-/// [`SourceFile`]s and [`Manifest`]s directly from strings).
+/// [`SourceFile`]s and [`Manifest`]s directly from strings). Fixture
+/// trees hold a handful of files, so entry-point resolution is not
+/// checked here.
 pub fn analyze_parsed(files: &[SourceFile], manifests: &[Manifest]) -> Analysis {
+    run(files, manifests, &[])
+}
+
+fn run(
+    files: &[SourceFile],
+    manifests: &[Manifest],
+    required_entries: &[(&str, &str)],
+) -> Analysis {
     // Build the semantic model once; every pass shares it.
     let ws = passes::Workspace::build(files);
     let mut raw_all: Vec<Finding> = Vec::new();
@@ -98,13 +116,36 @@ pub fn analyze_parsed(files: &[SourceFile], manifests: &[Manifest]) -> Analysis 
         out.extend(filter_suppressed(mine, &m.path, &sups));
     }
 
+    // Not routed through a suppression table: a missing entry point has
+    // no line to excuse it on.
+    out.extend(passes::a10::unresolved_entries(&ws, required_entries));
+
     out.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.lint).cmp(&(b.path.as_str(), b.line, b.col, b.lint))
     });
+    let allowed: Vec<&suppress::RawSuppression> = files
+        .iter()
+        .map(|f| (&f.path, &f.suppressions.entries))
+        .chain(manifests.iter().map(|m| (&m.path, &m.suppressions)))
+        .filter(|(path, _)| !path.starts_with("crates/analysis/"))
+        .flat_map(|(_, sups)| sups.iter().filter(|s| s.problem.is_none()))
+        .collect();
+    let naming = |id: &str| {
+        allowed
+            .iter()
+            .filter(|s| s.lints.iter().any(|l| l == id))
+            .count()
+    };
     Analysis {
         findings: out,
         sources: files.len(),
         manifests: manifests.len(),
+        suppressions: allowed.len(),
+        suppressions_per_lint: findings::LINTS
+            .iter()
+            .map(|l| (l.id, naming(l.id)))
+            .filter(|(_, n)| *n > 0)
+            .collect(),
     }
 }
 

@@ -44,6 +44,13 @@ pub const A4_SCOPE: &[&str] = &[
     "crates/hashing/src/",
     "crates/core/src/",
     "crates/server/src/lib.rs",
+    // The connection service (acceptor, handler pool, per-connection
+    // frame loop) both the node and the router run on, the shared reply
+    // builders, and the client redial core the router's shard sessions
+    // and a follower's poll loop sit on.
+    "crates/server/src/conn.rs",
+    "crates/server/src/reply.rs",
+    "crates/server/src/redial.rs",
     // The replication module's poll loop and ack gate sit between the
     // persist lock and every sequenced ack; its deliberate waits (gate
     // tick, poll pacing, reconnect backoff) carry explicit allows.

@@ -17,7 +17,7 @@
 #![deny(missing_docs)]
 
 use ss_analyze::findings::{apply_baseline, parse_baseline, Finding, LINTS};
-use ss_analyze::{analyze, walk};
+use ss_analyze::{analyze, walk, Analysis};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -132,15 +132,7 @@ fn main() -> ExitCode {
             } else if json {
                 println!(
                     "{}",
-                    render_json(
-                        &analysis.findings,
-                        &new,
-                        &old,
-                        &stale,
-                        baseline.len(),
-                        analysis.sources,
-                        analysis.manifests
-                    )
+                    render_json(&analysis, &new, &old, &stale, baseline.len())
                 );
             } else {
                 for f in &analysis.findings {
@@ -181,16 +173,21 @@ fn esc(s: &str) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
-    all: &[Finding],
+    analysis: &Analysis,
     new: &[Finding],
     old: &[Finding],
     stale: &[String],
     baseline_entries: usize,
-    sources: usize,
-    manifests: usize,
 ) -> String {
+    let (all, sources, manifests) = (&analysis.findings, analysis.sources, analysis.manifests);
+    let counts = |pairs: &[(&str, usize)]| {
+        let cells: Vec<String> = pairs
+            .iter()
+            .map(|(id, n)| format!("\"{id}\": {n}"))
+            .collect();
+        cells.join(", ")
+    };
     let mut per_lint: Vec<(&str, usize)> = Vec::new();
     for l in LINTS {
         let n = all.iter().filter(|f| f.lint == l.id).count();
@@ -206,15 +203,13 @@ fn render_json(
     s.push_str(&format!("  \"baselined_findings\": {},\n", old.len()));
     s.push_str(&format!("  \"baseline_entries\": {baseline_entries},\n"));
     s.push_str(&format!("  \"stale_baseline_entries\": {},\n", stale.len()));
-    s.push_str("  \"per_lint\": {");
-    s.push_str(
-        &per_lint
-            .iter()
-            .map(|(id, n)| format!("\"{id}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    s.push_str("},\n  \"findings\": [\n");
+    s.push_str(&format!("  \"per_lint\": {{{}}},\n", counts(&per_lint)));
+    s.push_str(&format!(
+        "  \"suppressions\": {{\"total\": {}, \"per_lint\": {{{}}}}},\n",
+        analysis.suppressions,
+        counts(&analysis.suppressions_per_lint)
+    ));
+    s.push_str("  \"findings\": [\n");
     let rendered: Vec<String> = new
         .iter()
         .map(|f| {

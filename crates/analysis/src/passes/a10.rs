@@ -20,34 +20,54 @@
 //! under inspection.
 
 use super::{finding, Pass, Workspace};
-use crate::findings::Finding;
+use crate::findings::{lint_info, Finding, Severity};
 use crate::items::FnItem;
 use crate::lexer::TokKind;
 use crate::lints;
 use crate::source::SourceFile;
 
 /// The serving/replication entry points reachability starts from:
-/// `(path suffix, fn name)`. Accept loops, connection handlers, frame
-/// loops, the replication poll loop and its wire-facing handlers, and
-/// the router's supervision/failover path.
+/// `(crate source dir, fn name)`. The connection service's accept, pool
+/// and frame loops (which reach the node's and the router's request
+/// handlers through `FrameHandler::handle`), the replication poll loop
+/// and its wire-facing handlers, and the router's supervision/failover
+/// path. Entries name the crate, not the file, so moving a loop between
+/// modules of its crate keeps it covered; one that matches no fn at all
+/// is an `a0-unresolved-entry` error ([`unresolved_entries`]), so a
+/// refactor cannot silently shrink the reachable set.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/server/src/lib.rs", "accept_loop"),
-    ("crates/server/src/lib.rs", "handle_connection"),
-    ("crates/server/src/lib.rs", "serve_frames"),
-    ("crates/server/src/lib.rs", "next_frame"),
-    ("crates/server/src/lib.rs", "handle_update_batch"),
+    ("crates/server/src/", "accept_loop"),
+    ("crates/server/src/", "pool_loop"),
+    ("crates/server/src/", "handle_connection"),
+    ("crates/server/src/", "serve_frames"),
+    ("crates/server/src/", "next_frame"),
+    ("crates/server/src/", "handle_update_batch"),
     ("crates/server/src/replication.rs", "run"),
-    ("crates/server/src/replication.rs", "serve_poll"),
-    ("crates/server/src/replication.rs", "apply_push"),
-    ("crates/server/src/replication.rs", "apply_chunk"),
+    ("crates/server/src/", "serve_poll"),
+    ("crates/server/src/", "apply_push"),
+    ("crates/server/src/", "apply_chunk"),
     ("crates/server/src/replication.rs", "promote"),
-    ("crates/cluster/src/router.rs", "accept_loop"),
-    ("crates/cluster/src/router.rs", "handle_connection"),
-    ("crates/cluster/src/router.rs", "serve_frames"),
-    ("crates/cluster/src/router.rs", "next_frame"),
-    ("crates/cluster/src/router.rs", "supervise"),
-    ("crates/cluster/src/router.rs", "try_failover"),
+    ("crates/cluster/src/", "supervise"),
+    ("crates/cluster/src/", "try_failover"),
 ];
+
+/// One `a0-unresolved-entry` finding per `specs` entry that matches no
+/// non-test fn of `ws`, anchored at the path the entry names.
+pub fn unresolved_entries(ws: &Workspace, specs: &[(&str, &str)]) -> Vec<Finding> {
+    specs
+        .iter()
+        .filter(|spec| ws.find_entries(&[**spec]).is_empty())
+        .map(|(path, name)| Finding {
+            lint: "a0-unresolved-entry",
+            severity: Severity::Error,
+            path: path.to_string(),
+            line: 1,
+            col: 1,
+            message: format!("entry point `{name}` matches no function under `{path}`"),
+            hint: lint_info("a0-unresolved-entry").map_or("", |l| l.hint),
+        })
+        .collect()
+}
 
 /// Shared sweep: indices of reachable, non-test fns whose file is *not*
 /// already covered by `scope` (the module allowlist of the lexical

@@ -99,7 +99,11 @@ fn v3_mentions(file: &SourceFile, v3: &[String]) -> Vec<usize> {
 /// parsed from the wire frame source (`enum Kind { Name = N, … }`).
 /// `Kind` and `Frame` variant names coincide by construction.
 pub fn v3_variants(ws: &Workspace) -> Vec<String> {
-    let Some(file) = ws.files.iter().find(|f| f.path.ends_with("wire/src/frame.rs")) else {
+    let Some(file) = ws
+        .files
+        .iter()
+        .find(|f| f.path.ends_with("wire/src/frame.rs"))
+    else {
         return Vec::new();
     };
     let toks = &file.toks;
@@ -141,10 +145,11 @@ pub fn v3_variants(ws: &Workspace) -> Vec<String> {
 }
 
 /// For each fn: the token index of the first protocol-version guard in
-/// its body, if any. A guard is an identifier containing `protocol`
-/// compared against a number within the next few tokens (the
-/// `session_protocol < 3` idiom), or a call whose name contains `v3`
-/// (the client's `require_v3()` idiom).
+/// its body, if any. A guard is a call to `Frame::min_protocol` (the
+/// connection service's one gate, derived from the same `Kind` split
+/// as this pass), an identifier containing `protocol` compared against
+/// a number within the next few tokens (the `protocol < 3` idiom), or a
+/// call whose name contains `v3` (the client's `require_v3()` idiom).
 fn local_gates(ws: &Workspace) -> Vec<Option<usize>> {
     ws.fns
         .iter()
@@ -158,6 +163,10 @@ fn local_gates(ws: &Workspace) -> Vec<Option<usize>> {
                     return false;
                 }
                 let name = t.ident_name().to_ascii_lowercase();
+                let called = toks.get(j + 1).map(|n| n.text.as_str()) == Some("(");
+                if name == "min_protocol" && called {
+                    return true;
+                }
                 if name.contains("protocol") {
                     let cmp_near = (1..=3).any(|d| {
                         toks.get(j + d)
@@ -168,7 +177,7 @@ fn local_gates(ws: &Workspace) -> Vec<Option<usize>> {
                         return true;
                     }
                 }
-                name.contains("v3") && toks.get(j + 1).map(|n| n.text.as_str()) == Some("(")
+                name.contains("v3") && called
             })
         })
         .collect()

@@ -71,15 +71,17 @@ impl<'a> Workspace<'a> {
             .map(|(i, _)| i)
     }
 
-    /// Indices of fns matching `(path_suffix, name)` entry-point specs.
+    /// Indices of fns matching `(path fragment, name)` entry-point
+    /// specs: a file suffix (`server/src/lib.rs`) or a crate source dir
+    /// (`crates/server/src/`, any module of that crate).
     pub fn find_entries(&self, specs: &[(&str, &str)]) -> Vec<usize> {
         self.fns
             .iter()
             .enumerate()
             .filter(|(_, f)| {
                 !f.is_test
-                    && specs.iter().any(|(suffix, name)| {
-                        f.name == *name && self.files[f.file].path.ends_with(suffix)
+                    && specs.iter().any(|(fragment, name)| {
+                        f.name == *name && self.files[f.file].path.contains(fragment)
                     })
             })
             .map(|(i, _)| i)
@@ -138,10 +140,7 @@ pub(crate) fn group_end(file: &SourceFile, open: usize) -> Option<usize> {
 pub(crate) fn is_pattern_position(file: &SourceFile, variant: usize) -> bool {
     let toks = &file.toks;
     let mut j = variant + 1;
-    if matches!(
-        toks.get(j).map(|t| t.text.as_str()),
-        Some("(") | Some("{")
-    ) {
+    if matches!(toks.get(j).map(|t| t.text.as_str()), Some("(") | Some("{")) {
         match group_end(file, j) {
             Some(c) => j = c + 1,
             None => return false,
@@ -238,11 +237,7 @@ mod tests {
             "fn outer() { fn inner() { body() } inner() }",
         )];
         let ws = Workspace::build(&files);
-        let body = files[0]
-            .toks
-            .iter()
-            .position(|t| t.text == "body")
-            .unwrap();
+        let body = files[0].toks.iter().position(|t| t.text == "body").unwrap();
         let f = ws.fn_containing(0, body).unwrap();
         assert_eq!(ws.fns[f].name, "inner");
     }

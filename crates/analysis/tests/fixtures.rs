@@ -596,6 +596,50 @@ fn a10_suppressions_are_honored() {
     assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
+#[test]
+fn a10_calls_through_a_trait_reach_every_implementor() {
+    // The shared loop calls `handler.handle(..)` on a trait; the impl
+    // lives in another crate, and its helper's unwrap must still count
+    // as reachable from the loop.
+    let a = run(&[
+        (
+            "crates/server/src/conn.rs",
+            "pub trait FrameHandler { fn handle(&self, x: Option<u8>) -> u8; }\n\
+             fn serve_frames<H: FrameHandler>(h: &H) -> u8 { h.handle(None) }\n",
+        ),
+        (
+            "crates/query/src/lib.rs",
+            "impl FrameHandler for Node { fn handle(&self, x: Option<u8>) -> u8 { crunch(x) } }\n\
+             fn crunch(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        ),
+    ]);
+    assert_eq!(lints(&a), ["a10-reachable-panic"]);
+    assert!(a.findings[0].message.contains("crunch"));
+}
+
+#[test]
+fn a0_entry_point_that_resolves_to_no_function_is_an_error() {
+    use ss_analyze::passes::{a10, Workspace};
+    // `serve_frames` moved out of the crate (or was renamed): without
+    // this check a10 would quietly inspect nothing below it.
+    let files = [SourceFile::parse(
+        "crates/server/src/lib.rs",
+        "fn handle_connection() {}\n#[cfg(test)] mod t { fn serve_frames() {} }\n",
+    )];
+    let ws = Workspace::build(&files);
+    let specs = [
+        ("crates/server/src/", "handle_connection"),
+        ("crates/server/src/", "serve_frames"),
+        ("crates/cluster/src/", "handle_connection"),
+    ];
+    let found = a10::unresolved_entries(&ws, &specs);
+    let lost: Vec<&str> = found.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(found.len(), 2, "{lost:?}");
+    assert!(found.iter().all(|f| f.lint == "a0-unresolved-entry"));
+    assert!(lost[0].contains("`serve_frames`") && lost[0].contains("crates/server/src/"));
+    assert!(lost[1].contains("`handle_connection`") && lost[1].contains("crates/cluster/src/"));
+}
+
 // ------------------------------------------------- A0 rename orphan
 
 #[test]

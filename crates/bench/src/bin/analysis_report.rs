@@ -4,7 +4,8 @@
 //! edit-compile-land loop the workspace pays for. This bin times the
 //! full pipeline — walk, lex, item extraction, call-graph build, every
 //! pass, suppression filtering — end to end over the real tree, and
-//! records the finding counts per lint alongside, so a pass that
+//! records the finding counts per lint and the count of in-place
+//! suppressions (ratcheted down by CI) alongside, so a pass that
 //! regresses (in speed *or* in silence) shows up in the same artifact
 //! diff as a throughput regression would.
 //!
@@ -51,16 +52,27 @@ fn main() {
         })
         .collect();
 
+    // The in-place `allow` directives an empty baseline hides; the
+    // `analyze` CI job fails when the live count exceeds this record.
+    let allowed: Vec<String> = analysis
+        .suppressions_per_lint
+        .iter()
+        .map(|(id, n)| format!("\"{id}\": {n}"))
+        .collect();
+
     let json = format!(
         "{{\n  \"sources\": {},\n  \"manifests\": {},\n  \"total_findings\": {},\n  \
          \"gate_wall_ms_cold\": {:.2},\n  \"gate_wall_ms_median\": {:.2},\n  \
-         \"runs\": {RUNS},\n  \"per_lint\": {{\n{}\n  }}\n}}\n",
+         \"runs\": {RUNS},\n  \"per_lint\": {{\n{}\n  }},\n  \
+         \"suppressions\": {{\"total\": {}, \"per_lint\": {{{}}}}}\n}}\n",
         analysis.sources,
         analysis.manifests,
         analysis.findings.len(),
         cold_ms,
         median_ms,
-        per_lint.join(",\n")
+        per_lint.join(",\n"),
+        analysis.suppressions,
+        allowed.join(", ")
     );
     std::fs::write("BENCH_analysis.json", &json).expect("write BENCH_analysis.json");
     println!("wrote BENCH_analysis.json");

@@ -18,8 +18,9 @@
 //!   same protocol as a single server (v2 clients work unchanged) plus
 //!   the v3 cluster vocabulary.
 //! * [`ShardSession`] / [`ShardError`] — one handler's connection to one
-//!   shard: capped-jitter retries, reconnect-and-RESUME, exactly-once
-//!   forwarding, per-shard health/latency telemetry. [`ShardError`] is
+//!   shard: the shared `stream_server::Redial` core (capped-jitter
+//!   retries, reconnect-and-RESUME) plus exactly-once forwarding, the
+//!   failover address book and per-shard health/latency telemetry. [`ShardError`] is
 //!   the typed ingredient of the degraded-mode SHARD_UNAVAILABLE reply.
 //! * [`FailureDetector`] / [`AddressBook`] — the failover machinery:
 //!   when [`RouterConfig::followers`] names per-shard replicas, a

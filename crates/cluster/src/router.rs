@@ -69,18 +69,20 @@ use skimmed_sketch::{
 use ss_retry::BackoffConfig;
 use ss_trace::Phase;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use stream_server::{ClientConfig, ClientError, ServerClient};
+use stream_server::conn::{Conn, Flow, FrameHandler, Service, ServiceConfig};
+use stream_server::{
+    join_answer, recent_wire_events, self_join_answer, Attempt, ClientConfig, ClientError, Redial,
+    ServerClient,
+};
 use stream_sketches::merge_parts;
 use stream_wire::{
-    ErrorCode, Frame, InspectReport, ServerInfo, StreamId, TraceContext, WireError, INSPECT_EVENTS,
-    INSPECT_METRICS, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SHARD_STREAM_BOTH, SHARD_STREAM_F,
-    SHARD_STREAM_G,
+    ErrorCode, Frame, InspectReport, ServerInfo, StreamId, TraceContext, INSPECT_EVENTS,
+    INSPECT_METRICS, SHARD_STREAM_BOTH, SHARD_STREAM_F, SHARD_STREAM_G,
 };
 
 use crate::failover::{AddressBook, Clock, DetectorConfig, FailureDetector, SystemClock};
@@ -101,9 +103,12 @@ pub struct RouterConfig {
     /// Client-facing connection-handler threads; each owns one session
     /// per shard.
     pub handler_threads: usize,
-    /// Base for handler-unique shard identities: handler `h` forwards
-    /// *unsequenced* upstream traffic under `client_id_base + h`, making
-    /// those forwards idempotent across shard reconnects. `0` opts the
+    /// Base for handler-unique shard identities: the handler thread
+    /// holding connection-service slot `h` (pool threads
+    /// `0..handler_threads`, overflow threads above; never live on two
+    /// threads at once) forwards *unsequenced* upstream traffic under
+    /// `client_id_base + h`, making those forwards idempotent across
+    /// shard reconnects. `0` opts the
     /// unsequenced path out of sequencing (sequenced upstream traffic is
     /// unaffected — it is always forwarded under the upstream identity).
     pub client_id_base: u64,
@@ -273,9 +278,9 @@ impl Inner {
 /// [`Router::shutdown`]; dropping it leaves the threads unjoined.
 pub struct Router {
     inner: Arc<Inner>,
-    local_addr: SocketAddr,
-    acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
+    /// The acceptor and handler threads serving `inner` — the same
+    /// connection service a single node runs (`stream_server::conn`).
+    service: Service<Inner>,
     supervisor: Option<JoinHandle<()>>,
 }
 
@@ -351,10 +356,6 @@ impl Router {
             ..first
         };
 
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
         let manifest = ClusterManifest::new(config.partition_seed, config.shards.clone());
         let partitioner = manifest.partitioner();
         let book = Arc::new(AddressBook::new(&config.shards, &config.followers));
@@ -379,52 +380,17 @@ impl Router {
             config,
         });
 
-        // Same bounded hand-off as the server: a full handler pool
-        // pushes new connections back into the OS listen backlog.
-        let (conn_tx, conn_rx) =
-            std::sync::mpsc::sync_channel::<TcpStream>(inner.config.handler_threads * 2);
-        // ss-analyze: allow(a4-blocking-hot-path) -- accept-path hand-off, taken once per connection (not per frame); contention is bounded by the handler count
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let handlers = (0..inner.config.handler_threads)
-            .map(|h| {
-                let inner = inner.clone();
-                let conn_rx = conn_rx.clone();
-                std::thread::spawn(move || {
-                    // Each handler owns one session per shard, sequenced
-                    // under a handler-unique identity (see the module
-                    // docs' exactly-once story).
-                    let mut sessions = make_sessions(&inner, h);
-                    loop {
-                        let next = {
-                            // A poisoned lock only means a sibling
-                            // handler panicked mid-recv; keep serving.
-                            let rx = conn_rx.lock().unwrap_or_else(|p| p.into_inner());
-                            rx.recv_timeout(Duration::from_millis(100))
-                        };
-                        match next {
-                            Ok(sock) => {
-                                if inner.shutdown.load(Ordering::Acquire) {
-                                    continue; // accepted but never served: drop
-                                }
-                                handle_connection(&inner, &mut sessions, sock);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                if inner.shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let inner = inner.clone();
-            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &inner))
-        };
+        let service = Service::start(
+            addr,
+            inner.clone(),
+            ServiceConfig {
+                name: "router",
+                handler_threads: inner.config.handler_threads,
+                read_timeout: inner.config.read_timeout,
+                write_timeout: inner.config.write_timeout,
+                max_payload: inner.config.max_payload,
+            },
+        )?;
 
         // The failure-detection / failover supervisor only runs when a
         // follower is configured somewhere; an unreplicated cluster
@@ -438,8 +404,7 @@ impl Router {
         let supervisor = match supervisor {
             Some(Ok(handle)) => Some(handle),
             Some(Err(e)) => {
-                // Let the already-spawned threads drain and bail.
-                inner.shutdown.store(true, Ordering::Release);
+                let _ = service.stop();
                 return Err(RouterError::Io(e));
             }
             None => None,
@@ -447,16 +412,14 @@ impl Router {
 
         Ok(Router {
             inner,
-            local_addr,
-            acceptor,
-            handlers,
+            service,
             supervisor,
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// A snapshot of the cluster manifest this router routes by (its
@@ -488,22 +451,13 @@ impl Router {
     pub fn shutdown(self) -> Result<(), RouterError> {
         self.inner.shutdown.store(true, Ordering::Release);
         let mut first_err: Option<RouterError> = None;
-        if self.acceptor.join().is_err() {
-            first_err = Some(RouterError::ThreadPanicked { thread: "acceptor" });
+        if self.supervisor.is_some_and(|s| s.join().is_err()) {
+            first_err = Some(RouterError::ThreadPanicked {
+                thread: "supervisor",
+            });
         }
-        if let Some(s) = self.supervisor {
-            if s.join().is_err() {
-                first_err.get_or_insert(RouterError::ThreadPanicked {
-                    thread: "supervisor",
-                });
-            }
-        }
-        for h in self.handlers {
-            if h.join().is_err() {
-                first_err.get_or_insert(RouterError::ThreadPanicked {
-                    thread: "connection handler",
-                });
-            }
+        for thread in self.service.stop() {
+            first_err.get_or_insert(RouterError::ThreadPanicked { thread });
         }
         match first_err {
             Some(e) => Err(e),
@@ -543,58 +497,16 @@ fn make_sessions(inner: &Inner, h: usize) -> Vec<ShardSession> {
         .collect()
 }
 
-fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, inner: &Inner) {
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((sock, _peer)) => {
-                if let Some(m) = inner.metrics {
-                    m.accepted.inc();
-                }
-                let mut sock = sock;
-                loop {
-                    match conn_tx.try_send(sock) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(s)) => {
-                            if inner.shutdown.load(Ordering::Acquire) {
-                                return;
-                            }
-                            sock = s;
-                            // ss-analyze: allow(a4-blocking-hot-path) -- acceptor backoff while every handler is busy; no frame is in flight on this thread
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(TrySendError::Disconnected(_)) => return,
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // ss-analyze: allow(a4-blocking-hot-path) -- nonblocking-accept poll tick; the acceptor owns no data-path work
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept errors: keep serving.
-                // ss-analyze: allow(a4-blocking-hot-path) -- accept-error backoff on the acceptor thread, off the data path
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-}
-
 /// One partition's supervisor-side state: its failure detector, the
 /// fencing epoch the supervisor will promote under, and a persistent
-/// heartbeat connection to the current primary.
+/// heartbeat session to whichever node the book names as primary.
 struct Watch {
     detector: FailureDetector,
     /// Highest fencing epoch observed from this partition's primary; a
     /// failover promotes the follower under `epoch + 1`, so a
     /// resurrected ex-primary's replication traffic is fenced off.
     epoch: u64,
-    /// The address `probe` is connected to (dropped when the book moves
-    /// the primary).
-    addr: String,
-    probe: Option<ServerClient>,
+    probe: Redial,
 }
 
 /// The heartbeat/promotion client configuration: short patience (one
@@ -624,11 +536,17 @@ fn supervise(inner: &Inner, clock: &dyn Clock) {
         miss_threshold: config.heartbeat_misses.max(1),
     };
     let mut watches: Vec<Watch> = (0..config.shards.len())
-        .map(|_| Watch {
-            detector: FailureDetector::new(detector),
-            epoch: 1,
-            addr: String::new(),
-            probe: None,
+        .map(|partition| {
+            let book = inner.book.clone();
+            let cfg = probe_config(config, format!("ss-router/hb{partition}"));
+            Watch {
+                detector: FailureDetector::new(detector),
+                epoch: 1,
+                // One attempt per probe tick — the detector, not a
+                // retry budget, decides when the primary is down.
+                probe: Redial::new(String::new(), cfg, 0)
+                    .with_resolver(move || book.primary(partition)),
+            }
         })
         .collect();
     let shard_metrics: Vec<_> = (0..config.shards.len())
@@ -647,16 +565,11 @@ fn supervise(inner: &Inner, clock: &dyn Clock) {
             if !watch.detector.due(now) {
                 continue;
             }
-            let Some(addr) = inner.book.primary(partition) else {
-                continue;
-            };
-            if addr != watch.addr {
-                // The primary moved (failover, possibly by another
-                // supervisor probe cycle): dial the new one.
-                watch.addr = addr.clone();
-                watch.probe = None;
-            }
-            match probe_primary(inner, partition, watch) {
+            let epoch = watch.epoch;
+            let probed = watch
+                .probe
+                .attempt(|client| client.heartbeat(epoch).map_err(Attempt::Failed));
+            match probed {
                 Ok(status) => {
                     watch.detector.record_ok(now);
                     watch.epoch = watch.epoch.max(status.epoch);
@@ -664,7 +577,6 @@ fn supervise(inner: &Inner, clock: &dyn Clock) {
                     publish_lag(inner, partition, &status, shard_metrics.get(partition));
                 }
                 Err(_) => {
-                    watch.probe = None;
                     note_health(inner, partition, false);
                     if let Some(m) = inner.metrics {
                         m.heartbeat_misses.inc();
@@ -674,7 +586,6 @@ fn supervise(inner: &Inner, clock: &dyn Clock) {
                     {
                         watch.epoch = watch.epoch.saturating_add(1);
                         watch.detector.record_ok(now);
-                        watch.addr = String::new(); // re-dial next probe
                     }
                 }
             }
@@ -682,24 +593,6 @@ fn supervise(inner: &Inner, clock: &dyn Clock) {
         // ss-analyze: allow(a4-blocking-hot-path) -- supervisor poll tick; this thread owns no data-path work
         std::thread::sleep(tick);
     }
-}
-
-/// One heartbeat round-trip to `watch`'s primary, dialing if needed.
-fn probe_primary(
-    inner: &Inner,
-    partition: usize,
-    watch: &mut Watch,
-) -> Result<stream_server::ReplicaStatus, ClientError> {
-    if watch.probe.is_none() {
-        let cfg = probe_config(&inner.config, format!("ss-router/hb{partition}"));
-        watch.probe = Some(ServerClient::connect_with(&*watch.addr, cfg)?);
-    }
-    let Some(client) = watch.probe.as_mut() else {
-        // Unreachable: the branch above just filled the slot; treated
-        // as a miss rather than panicking.
-        return Err(ClientError::Timeout);
-    };
-    client.heartbeat(watch.epoch)
 }
 
 /// Estimates the follower's byte lag behind the primary's durable
@@ -774,127 +667,14 @@ fn try_failover(inner: &Inner, partition: usize, epoch: u64) -> bool {
     true
 }
 
-fn send(
-    sock: &mut TcpStream,
-    frame: &Frame,
-    ctx: Option<TraceContext>,
-    metrics: Option<&'static RouterMetrics>,
-) -> bool {
-    match frame.write_to_traced(sock, ctx) {
-        Ok(_) => {
-            if let Some(m) = metrics {
-                m.frames_tx.inc();
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-fn send_error(
-    sock: &mut TcpStream,
-    code: ErrorCode,
-    message: &str,
-    ctx: Option<TraceContext>,
-    metrics: Option<&'static RouterMetrics>,
-) {
-    let _ = send(
-        sock,
-        &Frame::Error {
-            code,
-            message: message.to_string(),
-        },
-        ctx,
-        metrics,
-    );
-}
-
 /// Replies with the typed degraded-mode error naming the unreachable
-/// partition, and records it.
-fn send_degraded(
-    sock: &mut TcpStream,
-    e: &ShardError,
-    ctx: Option<TraceContext>,
-    metrics: Option<&'static RouterMetrics>,
-) {
-    if let Some(m) = metrics {
+/// partition, and records it. The session stays open so the client can
+/// retry once the shard returns.
+fn refuse_degraded(inner: &Inner, conn: &mut Conn<'_>, e: &ShardError) -> Flow {
+    if let Some(m) = inner.metrics {
         m.degraded_replies.inc();
     }
-    send_error(
-        sock,
-        ErrorCode::ShardUnavailable,
-        &e.to_string(),
-        ctx,
-        metrics,
-    );
-}
-
-fn handle_connection(inner: &Inner, sessions: &mut [ShardSession], mut sock: TcpStream) {
-    let metrics = inner.metrics;
-    if sock.set_nodelay(true).is_err()
-        || sock
-            .set_read_timeout(Some(inner.config.read_timeout))
-            .is_err()
-        || sock
-            .set_write_timeout(Some(inner.config.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    if let Some(m) = metrics {
-        m.connections.add(1);
-    }
-    serve_frames(inner, sessions, &mut sock);
-    if let Some(m) = metrics {
-        m.connections.add(-1);
-    }
-}
-
-/// Reads one frame, handling idle ticks and shutdown; `None` means the
-/// connection is done.
-fn next_frame(
-    inner: &Inner,
-    sock: &mut TcpStream,
-    scratch: &mut Vec<u8>,
-) -> Option<(Frame, Option<TraceContext>)> {
-    let metrics = inner.metrics;
-    loop {
-        match Frame::read_traced_from_with_scratch(sock, inner.config.max_payload, scratch) {
-            Ok((frame, _n, ctx)) => {
-                if let Some(m) = metrics {
-                    m.frames_rx.inc();
-                }
-                return Some((frame, ctx));
-            }
-            Err(WireError::Idle) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    send_error(
-                        sock,
-                        ErrorCode::ShuttingDown,
-                        "router draining; reconnect later",
-                        None,
-                        metrics,
-                    );
-                    return None;
-                }
-            }
-            Err(WireError::Closed) => return None,
-            Err(WireError::Io(_)) => return None,
-            Err(decode_err) => {
-                if let Some(m) = metrics {
-                    m.decode_errors.inc();
-                }
-                send_error(
-                    sock,
-                    ErrorCode::Protocol,
-                    &decode_err.to_string(),
-                    None,
-                    metrics,
-                );
-                return None;
-            }
-        }
-    }
+    conn.refuse(ErrorCode::ShardUnavailable, &e.to_string())
 }
 
 /// Fans one query across every shard, decodes the requested streams,
@@ -948,92 +728,66 @@ fn note_health(inner: &Inner, partition: usize, up: bool) {
     }
 }
 
-/// Sends the merge failure as the right wire error. Returns whether the
-/// connection may continue (degraded replies keep it open so the client
-/// can retry once the shard returns; decode failures close it).
-fn send_merge_error(
-    sock: &mut TcpStream,
-    e: &MergeError,
-    ctx: Option<TraceContext>,
-    metrics: Option<&'static RouterMetrics>,
-) -> bool {
-    match e {
-        MergeError::Shard(se) => {
-            send_degraded(sock, se, ctx, metrics);
-            true
-        }
-        MergeError::Undecodable(partition) => {
-            send_error(
-                sock,
+impl MergeError {
+    /// Sends the merge failure as the right wire error: degraded
+    /// replies keep the session open so the client can retry once the
+    /// shard returns; an undecodable sketch closes it.
+    fn reply(&self, inner: &Inner, conn: &mut Conn<'_>) -> Flow {
+        match self {
+            MergeError::Shard(e) => refuse_degraded(inner, conn, e),
+            MergeError::Undecodable(partition) => conn.fail(
                 ErrorCode::Internal,
                 &format!("partition {partition} returned an undecodable sketch"),
-                ctx,
-                metrics,
-            );
-            false
+            ),
         }
     }
 }
 
-/// Builds an Answer frame from a merged-join estimate.
-fn answer_frame(est: &skimmed_sketch::JoinEstimate) -> Frame {
-    Frame::Answer {
-        estimate: est.estimate,
-        dense_dense: est.dense_dense,
-        dense_sparse: est.dense_sparse,
-        sparse_dense: est.sparse_dense,
-        sparse_sparse: est.sparse_sparse,
-        dense_f: est.dense_f as u64,
-        dense_g: est.dense_g as u64,
+/// One stream's merged sketch, answered through `reply` (self-join and
+/// snapshot differ only in what they do with it).
+fn merged_stream(
+    inner: &Inner,
+    sessions: &mut [ShardSession],
+    stream: StreamId,
+    conn: &mut Conn<'_>,
+    reply: impl FnOnce(&SkimmedSketch, &Conn<'_>) -> Frame,
+) -> Flow {
+    let mask = match stream {
+        StreamId::F => SHARD_STREAM_F,
+        StreamId::G => SHARD_STREAM_G,
+    };
+    match merged_snapshots(inner, sessions, mask, conn.forward()) {
+        Ok((Some(sk), None)) | Ok((None, Some(sk))) => {
+            let frame = reply(&sk, conn);
+            conn.send(&frame)
+        }
+        // Unreachable with a non-empty manifest; treat as internal
+        // rather than panicking.
+        Ok(_) => conn.fail(ErrorCode::Internal, "empty shard set"),
+        Err(e) => e.reply(inner, conn),
     }
 }
 
-fn serve_frames(inner: &Inner, sessions: &mut [ShardSession], sock: &mut TcpStream) {
-    let metrics = inner.metrics;
-    let mut scratch = Vec::new();
+impl FrameHandler for Inner {
+    /// One session per shard, sequenced under a slot-unique identity
+    /// (see the module docs' exactly-once story).
+    type State = Vec<ShardSession>;
 
-    // Handshake: identical negotiation to the single-node server, so a
-    // v2 client cannot tell a router from a server (until it asks for
-    // SHARD_MAP, which needs a v3 session).
-    let session_protocol;
-    match next_frame(inner, sock, &mut scratch) {
-        Some((Frame::Hello { protocol, .. }, ctx)) => {
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) {
-                send_error(
-                    sock,
-                    ErrorCode::UnsupportedVersion,
-                    &format!(
-                        "protocol {protocol} unsupported (router speaks \
-                         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                    ),
-                    None,
-                    metrics,
-                );
-                return;
-            }
-            session_protocol = protocol;
-            if !send(sock, &Frame::HelloAck(inner.info), ctx, metrics) {
-                return;
-            }
-        }
-        Some(_) => {
-            send_error(sock, ErrorCode::Protocol, "expected HELLO", None, metrics);
-            return;
-        }
-        None => return,
+    fn info(&self) -> ServerInfo {
+        self.info
     }
 
-    while let Some((frame, ctx)) = next_frame(inner, sock, &mut scratch) {
-        // The router's Handler span, child of the client's Request
-        // span; shard fan-out calls carry it so shard-side spans join
-        // the same end-to-end trace.
-        let handler_span = ctx.map(|c| ss_trace::span(Phase::Handler, c.trace_id, c.span_id, 0));
-        let fwd = ctx.map(|c| TraceContext {
-            trace_id: c.trace_id,
-            span_id: handler_span
-                .as_ref()
-                .map_or(c.span_id, ss_trace::SpanGuard::id),
-        });
+    fn thread_state(&self, slot: usize) -> Vec<ShardSession> {
+        make_sessions(self, slot)
+    }
+
+    /// What a router does with a request: split and fan out writes,
+    /// fan out and merge reads. `conn.forward()` carries the router's
+    /// Handler span to the shards so their spans join the same
+    /// end-to-end trace.
+    fn handle(&self, sessions: &mut Vec<ShardSession>, frame: Frame, conn: &mut Conn<'_>) -> Flow {
+        let metrics = self.metrics;
+        let fwd = conn.forward();
         match frame {
             Frame::UpdateBatch {
                 stream,
@@ -1043,90 +797,58 @@ fn serve_frames(inner: &Inner, sessions: &mut [ShardSession], sock: &mut TcpStre
             } => {
                 let _span = metrics.map(|m| m.update_latency.start_span());
                 let len = updates.len();
-                if len as u64 > inner.info.max_batch as u64 {
-                    send_error(
-                        sock,
+                if len as u64 > self.info.max_batch as u64 {
+                    let max = self.info.max_batch;
+                    return conn.refuse(
                         ErrorCode::BatchTooLarge,
-                        &format!(
-                            "batch of {len} exceeds cluster max_batch {}",
-                            inner.info.max_batch
-                        ),
-                        ctx,
-                        metrics,
+                        &format!("batch of {len} exceeds cluster max_batch {max}"),
                     );
-                    continue;
                 }
                 if let Some(m) = metrics {
                     m.batches_in.inc();
                 }
-                let parts = inner.partitioner.split(&updates);
-                let mut failed: Option<ShardError> = None;
+                let parts = self.partitioner.split(&updates);
                 for (sess, part) in sessions.iter_mut().zip(&parts) {
                     if part.is_empty() {
                         continue;
                     }
-                    let partition = sess.partition();
-                    let sequenced = client_id != 0 && seq != 0;
-                    let result = if sequenced {
+                    let result = if client_id != 0 && seq != 0 {
                         // Upstream identity pass-through: the shard
                         // dedups this sub-batch end to end.
                         sess.send_batch_as(stream, client_id, seq, part, fwd)
                     } else {
                         sess.send_batch(stream, part, fwd)
                     };
-                    note_health(inner, partition, result.is_ok());
+                    note_health(self, sess.partition(), result.is_ok());
                     if let Err(e) = result {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                match failed {
-                    Some(e) => {
                         // No ack: the upstream producer retries, the
                         // shards that already applied their sub-batch
                         // dedup the replay.
-                        send_degraded(sock, &e, ctx, metrics);
-                    }
-                    None => {
-                        if let Some(m) = metrics {
-                            m.updates_routed.add(len as u64);
-                        }
-                        let reply = Frame::BatchAck {
-                            accepted: len as u64,
-                        };
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
+                        return refuse_degraded(self, conn, &e);
                     }
                 }
+                if let Some(m) = metrics {
+                    m.updates_routed.add(len as u64);
+                }
+                conn.send(&Frame::BatchAck {
+                    accepted: len as u64,
+                })
             }
             Frame::QueryJoin => {
                 let _span = metrics.map(|m| m.query_latency.start_span());
                 if let Some(m) = metrics {
                     m.queries.inc();
                 }
-                let merged = merged_snapshots(inner, sessions, SHARD_STREAM_BOTH, fwd);
-                match merged {
+                match merged_snapshots(self, sessions, SHARD_STREAM_BOTH, fwd) {
                     Ok((Some(f), Some(g))) => {
-                        let est_span =
-                            fwd.map(|c| ss_trace::span(Phase::Estimate, c.trace_id, c.span_id, 0));
-                        let est = estimate_join(&f, &g, &inner.config.estimator);
-                        drop(est_span);
-                        if !send(sock, &answer_frame(&est), ctx, metrics) {
-                            return;
-                        }
+                        let est = {
+                            let _estimate = conn.span(Phase::Estimate);
+                            estimate_join(&f, &g, &self.config.estimator)
+                        };
+                        conn.send(&join_answer(&est))
                     }
-                    Ok(_) => {
-                        // Unreachable with a non-empty manifest; treat
-                        // as internal rather than panicking.
-                        send_error(sock, ErrorCode::Internal, "empty shard set", ctx, metrics);
-                        return;
-                    }
-                    Err(e) => {
-                        if !send_merge_error(sock, &e, ctx, metrics) {
-                            return;
-                        }
-                    }
+                    Ok(_) => conn.fail(ErrorCode::Internal, "empty shard set"),
+                    Err(e) => e.reply(self, conn),
                 }
             }
             Frame::QuerySelfJoin { stream } => {
@@ -1134,72 +856,17 @@ fn serve_frames(inner: &Inner, sessions: &mut [ShardSession], sock: &mut TcpStre
                 if let Some(m) = metrics {
                     m.queries.inc();
                 }
-                let mask = match stream {
-                    StreamId::F => SHARD_STREAM_F,
-                    StreamId::G => SHARD_STREAM_G,
-                };
-                match merged_snapshots(inner, sessions, mask, fwd) {
-                    Ok((f, g)) => {
-                        let Some(sk) = (match stream {
-                            StreamId::F => f,
-                            StreamId::G => g,
-                        }) else {
-                            send_error(sock, ErrorCode::Internal, "empty shard set", ctx, metrics);
-                            return;
-                        };
-                        let est_span =
-                            fwd.map(|c| ss_trace::span(Phase::Estimate, c.trace_id, c.span_id, 0));
-                        let estimate = estimate_self_join(&sk, &inner.config.estimator);
-                        drop(est_span);
-                        let reply = Frame::Answer {
-                            estimate,
-                            dense_dense: 0.0,
-                            dense_sparse: 0.0,
-                            sparse_dense: 0.0,
-                            sparse_sparse: 0.0,
-                            dense_f: 0,
-                            dense_g: 0,
-                        };
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        if !send_merge_error(sock, &e, ctx, metrics) {
-                            return;
-                        }
-                    }
-                }
+                merged_stream(self, sessions, stream, conn, |sk, conn| {
+                    let _estimate = conn.span(Phase::Estimate);
+                    self_join_answer(estimate_self_join(sk, &self.config.estimator))
+                })
             }
             Frame::Snapshot { stream } => {
                 let _span = metrics.map(|m| m.query_latency.start_span());
-                let mask = match stream {
-                    StreamId::F => SHARD_STREAM_F,
-                    StreamId::G => SHARD_STREAM_G,
-                };
-                match merged_snapshots(inner, sessions, mask, fwd) {
-                    Ok((f, g)) => {
-                        let Some(sk) = (match stream {
-                            StreamId::F => f,
-                            StreamId::G => g,
-                        }) else {
-                            send_error(sock, ErrorCode::Internal, "empty shard set", ctx, metrics);
-                            return;
-                        };
-                        let reply = Frame::SnapshotReply {
-                            stream,
-                            sketch: encode_skimmed(&sk).to_vec(),
-                        };
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        if !send_merge_error(sock, &e, ctx, metrics) {
-                            return;
-                        }
-                    }
-                }
+                merged_stream(self, sessions, stream, conn, |sk, _| Frame::SnapshotReply {
+                    stream,
+                    sketch: encode_skimmed(sk).to_vec(),
+                })
             }
             Frame::Resume { client_id } => {
                 // The producer may resume from the highest seq *every*
@@ -1207,65 +874,31 @@ fn serve_frames(inner: &Inner, sessions: &mut [ShardSession], sock: &mut TcpStre
                 // Conservative under per-shard gaps (a shard that owned
                 // no keys of a batch never saw its seq), but replays of
                 // already-applied batches are absorbed by shard dedup.
-                let mut low_f = u64::MAX;
-                let mut low_g = u64::MAX;
-                let mut failed: Option<ShardError> = None;
+                let (mut last_seq_f, mut last_seq_g) = (u64::MAX, u64::MAX);
                 for sess in sessions.iter_mut() {
-                    let partition = sess.partition();
                     let reply = sess.resume_of(client_id, fwd);
-                    note_health(inner, partition, reply.is_ok());
+                    note_health(self, sess.partition(), reply.is_ok());
                     match reply {
                         Ok((f, g)) => {
-                            low_f = low_f.min(f);
-                            low_g = low_g.min(g);
+                            last_seq_f = last_seq_f.min(f);
+                            last_seq_g = last_seq_g.min(g);
                         }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
+                        Err(e) => return refuse_degraded(self, conn, &e),
                     }
                 }
-                match failed {
-                    Some(e) => send_degraded(sock, &e, ctx, metrics),
-                    None => {
-                        let reply = Frame::ResumeAck {
-                            last_seq_f: low_f,
-                            last_seq_g: low_g,
-                        };
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
-                    }
-                }
+                conn.send(&Frame::ResumeAck {
+                    last_seq_f,
+                    last_seq_g,
+                })
             }
             Frame::ShardMap(_) => {
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "SHARD_MAP requires a protocol-v3 session",
-                        ctx,
-                        metrics,
-                    );
-                    return;
-                }
-                let healthy: Vec<bool> = inner
-                    .health
-                    .iter()
-                    // ordering: advisory monitoring reads; see note_health
-                    .map(|h| h.load(Ordering::Relaxed))
-                    .collect();
-                let followers = inner.book.followers();
-                let lags: Vec<u64> = inner
-                    .lag
-                    .iter()
-                    // ordering: advisory monitoring reads; see note_health
-                    .map(|l| l.load(Ordering::Relaxed))
-                    .collect();
-                let reply = Frame::ShardMap(inner.manifest().to_wire(&healthy, &followers, &lags));
-                if !send(sock, &reply, ctx, metrics) {
-                    return;
-                }
+                // ordering: advisory monitoring reads; see note_health
+                let relaxed = Ordering::Relaxed;
+                let healthy: Vec<bool> = self.health.iter().map(|h| h.load(relaxed)).collect();
+                let lags: Vec<u64> = self.lag.iter().map(|l| l.load(relaxed)).collect();
+                let followers = self.book.followers();
+                let map = self.manifest().to_wire(&healthy, &followers, &lags);
+                conn.send(&Frame::ShardMap(map))
             }
             Frame::Inspect {
                 sections,
@@ -1273,90 +906,48 @@ fn serve_frames(inner: &Inner, sessions: &mut [ShardSession], sock: &mut TcpStre
                 ..
             } => {
                 let mut report = InspectReport {
-                    uptime_ns: inner.started.elapsed().as_nanos() as u64,
+                    uptime_ns: self.started.elapsed().as_nanos() as u64,
                     ..InspectReport::default()
                 };
                 if sections & INSPECT_METRICS != 0 && stream_telemetry::ENABLED {
                     report.metrics_json = stream_telemetry::global().render_json_lines();
                 }
                 if sections & INSPECT_EVENTS != 0 {
-                    report.events = ss_trace::recent_events(last_events as usize)
-                        .iter()
-                        .map(|e| stream_wire::WireSpanEvent {
-                            ts_ns: e.ts_ns,
-                            trace_id: e.trace_id,
-                            span_id: e.span_id,
-                            parent_id: e.parent_id,
-                            phase: e.phase,
-                            kind: e.kind,
-                            thread: e.thread,
-                            arg: e.arg,
-                        })
-                        .collect();
+                    report.events = recent_wire_events(last_events);
                 }
-                if !send(sock, &Frame::InspectReply(Box::new(report)), ctx, metrics) {
-                    return;
-                }
+                conn.send(&Frame::InspectReply(Box::new(report)))
             }
-            Frame::ShardQuery { .. } => {
-                send_error(
-                    sock,
-                    ErrorCode::Protocol,
-                    "not a shard: routers do not serve SHARD_QUERY",
-                    ctx,
-                    metrics,
-                );
-                return;
-            }
-            Frame::Replicate { .. } | Frame::ReplicateAck { .. } | Frame::Promote { .. } => {
-                // Replication and promotion run shard-to-shard and
-                // supervisor-to-shard; the router is stateless and owns
-                // no WAL to stream or seal.
-                send_error(
-                    sock,
+            Frame::ShardQuery { .. } => conn.fail(
+                ErrorCode::Protocol,
+                "not a shard: routers do not serve SHARD_QUERY",
+            ),
+            // Replication and promotion run shard-to-shard and
+            // supervisor-to-shard; the router is stateless and owns no
+            // WAL to stream or seal.
+            Frame::Replicate { .. } | Frame::ReplicateAck { .. } | Frame::Promote { .. } => conn
+                .fail(
                     ErrorCode::Protocol,
                     "routers do not replicate; speak to the shard directly",
-                    ctx,
-                    metrics,
-                );
-                return;
-            }
-            Frame::Heartbeat { .. } => {
-                // Answered so liveness probes work against a router
-                // front too; a router has no WAL frontier or epoch.
-                let reply = Frame::Heartbeat {
-                    epoch: 0,
-                    primary: false,
-                    segment: 0,
-                    offset: 0,
-                };
-                if !send(sock, &reply, ctx, metrics) {
-                    return;
-                }
-            }
-            Frame::Goodbye => {
-                let _ = send(sock, &Frame::Goodbye, ctx, metrics);
-                return;
-            }
-            Frame::Error { .. } => return, // client gave up; nothing to reply
+                ),
+            // Answered so liveness probes work against a router front
+            // too; a router has no WAL frontier or epoch.
+            Frame::Heartbeat { .. } => conn.send(&Frame::Heartbeat {
+                epoch: 0,
+                primary: false,
+                segment: 0,
+                offset: 0,
+            }),
             Frame::Hello { .. }
             | Frame::HelloAck(_)
             | Frame::BatchAck { .. }
             | Frame::Answer { .. }
             | Frame::SnapshotReply { .. }
             | Frame::Throttle { .. }
+            | Frame::Error { .. }
+            | Frame::Goodbye
             | Frame::ResumeAck { .. }
             | Frame::InspectReply(_)
-            | Frame::ShardQueryReply { .. } => {
-                send_error(
-                    sock,
-                    ErrorCode::Protocol,
-                    "unexpected frame for a client to send",
-                    ctx,
-                    metrics,
-                );
-                return;
-            }
+            | Frame::ShardQueryReply { .. } => conn.unexpected(),
         }
     }
 }

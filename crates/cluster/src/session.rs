@@ -19,12 +19,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 use stream_model::update::Update;
-use stream_server::{BatchOutcome, ClientConfig, ClientError, ServerClient};
+use stream_server::{Attempt, BatchOutcome, ClientConfig, ClientError, Redial, ServerClient};
 use stream_wire::{StreamId, TraceContext};
 
 use crate::failover::AddressBook;
 use crate::telem::ShardMetrics;
-use ss_retry::Backoff;
 
 /// A shard operation abandoned after the session's whole retry budget:
 /// the typed ingredients of the degraded-mode SHARD_UNAVAILABLE reply,
@@ -53,60 +52,56 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Why one attempt did not complete, before retry policy is applied.
-enum Attempt {
-    /// Shard alive but backpressuring; retry after backoff.
-    Throttled,
-    /// Connection-level failure; reconnect before the next attempt.
-    Failed(ClientError),
+/// A forwarded sub-batch counts as delivered only once the shard acked
+/// it; a THROTTLE keeps the connection and retries.
+fn delivered(outcome: Result<BatchOutcome, ClientError>) -> Result<(), Attempt> {
+    match outcome {
+        Ok(BatchOutcome::Accepted(_)) => Ok(()),
+        Ok(BatchOutcome::Throttled { .. }) => Err(Attempt::Throttled),
+        Err(e) => Err(Attempt::Failed(e)),
+    }
 }
 
-/// One handler thread's connection to one shard server.
+/// One handler thread's connection to one shard server: the shared
+/// [`Redial`] core plus what only the fan-out path needs — the failover
+/// address book, throttles spending retry budget, per-shard telemetry.
 pub struct ShardSession {
     partition: usize,
-    addr: String,
-    config: ClientConfig,
-    retry_budget: u32,
-    backoff: Backoff,
-    client: Option<ServerClient>,
+    link: Redial,
     metrics: Option<ShardMetrics>,
-    /// The failover address table; when its version moves past
-    /// `book_version` the next `ensure` re-reads this partition's
-    /// primary (a promotion happened) before dialing.
-    book: Option<Arc<AddressBook>>,
-    book_version: u64,
 }
 
 impl ShardSession {
     /// A session for `partition` at `addr`, sequenced under
     /// `config.client_id` (which must be unique per handler thread) and
-    /// allowed `retry_budget` attempts per operation.
+    /// allowed `retry_budget` retries per operation.
     pub fn new(partition: usize, addr: String, config: ClientConfig, retry_budget: u32) -> Self {
-        let backoff = Backoff::new(&config.backoff);
-        let metrics = stream_telemetry::ENABLED.then(|| crate::telem::shard_metrics(partition));
         ShardSession {
             partition,
-            addr,
-            config,
-            retry_budget: retry_budget.max(1),
-            backoff,
-            client: None,
-            metrics,
-            book: None,
-            book_version: 0,
+            link: Redial::new(addr, config, retry_budget.max(1)),
+            metrics: stream_telemetry::ENABLED.then(|| crate::telem::shard_metrics(partition)),
         }
     }
 
-    /// Attaches the failover address book: the session will follow
+    /// Attaches the failover address book: the session follows
     /// promotions by re-reading its partition's primary whenever the
-    /// book's version moves. The dropped-and-redialed connection then
-    /// RESUMEs against the new primary, whose replicated idempotency
-    /// table dedups anything the old primary already applied.
+    /// book's version moves (one atomic load when nothing changed). The
+    /// dropped-and-redialed connection then RESUMEs against the new
+    /// primary, whose replicated idempotency table dedups anything the
+    /// old primary already applied.
     pub fn with_address_book(mut self, book: Arc<AddressBook>) -> Self {
-        // Version 0 is below any real book version, so the first
-        // `ensure` syncs the address even if a promotion raced bind.
-        self.book_version = 0;
-        self.book = Some(book);
+        let partition = self.partition;
+        // Version 0 is below any real book version, so the first dial
+        // syncs the address even if a promotion raced bind.
+        let mut seen = 0;
+        self.link = self.link.with_resolver(move || {
+            let version = book.version();
+            if version == seen {
+                return None;
+            }
+            seen = version;
+            book.primary(partition)
+        });
         self
     }
 
@@ -115,124 +110,46 @@ impl ShardSession {
         self.partition
     }
 
-    /// The shard's address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Whether the last operation succeeded (i.e. the shard is healthy
-    /// from this session's point of view).
-    pub fn connected(&self) -> bool {
-        self.client.is_some()
-    }
-
-    /// Dials (or reuses) the connection. A fresh sequenced connection
-    /// RESUMEs first, fast-forwarding past everything the shard already
-    /// applied — the heart of kill/restart convergence.
-    fn ensure(&mut self) -> Result<&mut ServerClient, ClientError> {
-        self.refresh_addr();
-        if self.client.is_none() {
-            let mut client = ServerClient::connect_with(&*self.addr, self.config.clone())?;
-            if client.client_id() != 0 {
-                client.resume()?;
-            }
-            self.client = Some(client);
-        }
-        // ss-analyze: allow(a2-panic-free) -- the branch above just filled the slot
-        Ok(self.client.as_mut().expect("session just connected"))
-    }
-
-    /// Drops the connection so the next attempt re-dials and RESUMEs.
-    fn disconnect(&mut self) {
-        self.client = None;
-    }
-
-    /// Syncs this session's address with the failover book. Cheap when
-    /// nothing changed (one atomic load); on a version change, a moved
-    /// primary drops the connection so the next dial goes to the
-    /// promoted follower.
-    fn refresh_addr(&mut self) {
-        let Some(book) = &self.book else { return };
-        let version = book.version();
-        if version == self.book_version {
-            return;
-        }
-        self.book_version = version;
-        if let Some(addr) = book.primary(self.partition) {
-            if addr != self.addr {
-                self.addr = addr;
-                self.disconnect();
-            }
-        }
-    }
-
-    fn set_health(&self, up: bool) {
-        if let Some(m) = &self.metrics {
-            m.healthy.set(up as i64);
-        }
-    }
-
-    fn fail(&mut self, attempts: u32, last: ClientError) -> ShardError {
-        self.set_health(false);
-        if let Some(m) = &self.metrics {
-            m.failures.inc();
-        }
-        ShardError {
-            partition: self.partition,
-            addr: self.addr.clone(),
-            attempts,
-            last,
-        }
-    }
-
-    /// Runs `op` under the session's retry budget with capped-jitter
-    /// backoff, reconnect-and-RESUME between connection failures, and
+    /// Runs `op` under the session's retry budget (reconnect-and-RESUME
+    /// between connection failures, throttles spending budget too so a
+    /// wedged shard still converges to the typed degraded error), with
     /// per-shard RTT/health telemetry.
     fn with_retries<T>(
         &mut self,
+        ctx: Option<TraceContext>,
         mut op: impl FnMut(&mut ServerClient) -> Result<T, Attempt>,
     ) -> Result<T, ShardError> {
-        self.backoff.reset();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
+        let metrics = self.metrics.as_ref();
+        let outcome = self.link.run(|client| {
+            // Stamped on the wire verbatim so the shard's spans join
+            // the end client's trace.
+            client.set_forward_trace(ctx);
             let t0 = Instant::now();
-            let outcome = match self.ensure() {
-                Ok(client) => match op(client) {
-                    Ok(v) => Ok(v),
-                    Err(a) => Err(a),
-                },
-                Err(e) => Err(Attempt::Failed(e)),
-            };
-            match outcome {
-                Ok(v) => {
-                    if let Some(m) = &self.metrics {
-                        m.fanout_rtt.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    self.set_health(true);
-                    return Ok(v);
-                }
-                Err(Attempt::Throttled) => {
-                    // Shard alive, queue full: keep the connection, pay
-                    // backoff, and spend budget so a wedged shard still
-                    // converges to the typed degraded error.
-                    if attempts > self.retry_budget {
-                        return Err(self.fail(attempts, ClientError::Timeout));
-                    }
-                }
-                Err(Attempt::Failed(e)) => {
-                    self.disconnect();
-                    if attempts > self.retry_budget {
-                        return Err(self.fail(attempts, e));
-                    }
-                }
+            let v = op(client)?;
+            if let Some(m) = metrics {
+                m.fanout_rtt.record(t0.elapsed().as_nanos() as u64);
             }
-            if let Some(m) = &self.metrics {
-                m.retries.inc();
+            Ok(v)
+        });
+        let (attempts, up) = match &outcome {
+            Ok((_, attempts)) => (*attempts, true),
+            Err((attempts, _)) => (*attempts, false),
+        };
+        if let Some(m) = metrics {
+            m.retries.add(u64::from(attempts - 1));
+            m.healthy.set(up as i64);
+            if !up {
+                m.failures.inc();
             }
-            // ss-analyze: allow(a4-blocking-hot-path) -- deliberate retry backoff on a failed/throttled shard; the handler thread owns no other work mid-request
-            std::thread::sleep(self.backoff.delay());
         }
+        outcome
+            .map(|(v, _)| v)
+            .map_err(|(attempts, last)| ShardError {
+                partition: self.partition,
+                addr: self.link.addr().to_string(),
+                attempts,
+                last,
+            })
     }
 
     /// Forwards one sub-batch exactly once, surviving shard crashes and
@@ -248,8 +165,7 @@ impl ShardSession {
         // The shard-side seq this batch will go out under, captured on
         // the first attempt that reaches a connected client.
         let mut base: Option<u64> = None;
-        self.with_retries(|client| {
-            client.set_forward_trace(ctx);
+        self.with_retries(ctx, |client| {
             if client.client_id() != 0 {
                 let cur = client.next_seq(stream);
                 match base {
@@ -265,11 +181,7 @@ impl ShardSession {
                     Some(_) => {}
                 }
             }
-            match client.send_batch(stream, updates) {
-                Ok(BatchOutcome::Accepted(_)) => Ok(()),
-                Ok(BatchOutcome::Throttled { .. }) => Err(Attempt::Throttled),
-                Err(e) => Err(Attempt::Failed(e)),
-            }
+            delivered(client.send_batch(stream, updates))
         })
     }
 
@@ -288,13 +200,8 @@ impl ShardSession {
         updates: &[Update],
         ctx: Option<TraceContext>,
     ) -> Result<(), ShardError> {
-        self.with_retries(|client| {
-            client.set_forward_trace(ctx);
-            match client.send_batch_as(stream, client_id, seq, updates) {
-                Ok(BatchOutcome::Accepted(_)) => Ok(()),
-                Ok(BatchOutcome::Throttled { .. }) => Err(Attempt::Throttled),
-                Err(e) => Err(Attempt::Failed(e)),
-            }
+        self.with_retries(ctx, |client| {
+            delivered(client.send_batch_as(stream, client_id, seq, updates))
         })
     }
 
@@ -305,8 +212,7 @@ impl ShardSession {
         client_id: u64,
         ctx: Option<TraceContext>,
     ) -> Result<(u64, u64), ShardError> {
-        self.with_retries(|client| {
-            client.set_forward_trace(ctx);
+        self.with_retries(ctx, |client| {
             client.resume_of(client_id).map_err(Attempt::Failed)
         })
     }
@@ -318,22 +224,8 @@ impl ShardSession {
         streams: u8,
         ctx: Option<TraceContext>,
     ) -> Result<(Vec<u8>, Vec<u8>), ShardError> {
-        self.with_retries(|client| {
-            client.set_forward_trace(ctx);
+        self.with_retries(ctx, |client| {
             client.shard_query(streams).map_err(Attempt::Failed)
-        })
-    }
-
-    /// Fetches the shard's live introspection report (for `ssketch top`
-    /// per-shard rows, proxied through the router's address book).
-    pub fn inspect(
-        &mut self,
-        sections: u8,
-        ctx: Option<TraceContext>,
-    ) -> Result<stream_wire::InspectReport, ShardError> {
-        self.with_retries(|client| {
-            client.set_forward_trace(ctx);
-            client.inspect(sections, 0, 0).map_err(Attempt::Failed)
         })
     }
 }

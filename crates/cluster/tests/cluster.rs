@@ -323,6 +323,85 @@ fn hello_negotiation_accepts_the_range_and_rejects_outside_it_typed() {
 }
 
 #[test]
+fn v2_sessions_cannot_carry_any_v3_kind_on_either_front() {
+    let _guard = serial();
+    let schema = SkimmedSchema::scanning(Domain::with_log2(8), 3, 32, 1);
+    let (shards, addrs) = start_shards(1, &schema);
+    let router = Router::bind("127.0.0.1:0", test_router_config(addrs)).unwrap();
+    let v3_kinds = || {
+        vec![
+            Frame::ShardMap(ShardMapInfo {
+                version: 0,
+                seed: 0,
+                shards: Vec::new(),
+            }),
+            Frame::ShardQuery { streams: 3 },
+            Frame::ShardQueryReply {
+                streams: 0,
+                sketch_f: Vec::new(),
+                sketch_g: Vec::new(),
+            },
+            Frame::Replicate {
+                epoch: 1,
+                segment: 0,
+                offset: 0,
+                snapshot: false,
+                frontier_segment: 0,
+                frontier_offset: 0,
+                bytes: Vec::new(),
+            },
+            Frame::ReplicateAck {
+                epoch: 1,
+                segment: 0,
+                offset: 0,
+            },
+            Frame::Heartbeat {
+                epoch: 1,
+                primary: false,
+                segment: 0,
+                offset: 0,
+            },
+            Frame::Promote { epoch: 2 },
+        ]
+    };
+    for addr in [shards[0].local_addr(), router.local_addr()] {
+        for frame in v3_kinds() {
+            assert_eq!(frame.min_protocol(), 3, "{frame:?}");
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            Frame::Hello {
+                protocol: MIN_PROTOCOL_VERSION,
+                client: "v2".into(),
+            }
+            .write_to(&mut sock)
+            .unwrap();
+            assert!(matches!(read_reply(&mut sock), Frame::HelloAck(_)));
+            frame.write_to(&mut sock).unwrap();
+            match read_reply(&mut sock) {
+                Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol, "{frame:?}"),
+                other => panic!("v2 session sent {frame:?}, expected rejection, got {other:?}"),
+            }
+            // …and the session is over: the gate closes, it does not skip.
+            let closed = (0..100).find_map(|_| match Frame::read_from(&mut sock, 64) {
+                Err(WireError::Idle) => None,
+                other => Some(other),
+            });
+            assert!(
+                matches!(closed, Some(Err(WireError::Closed | WireError::Io(_)))),
+                "session must close after {frame:?}, got {closed:?}"
+            );
+        }
+    }
+    // The promote above never reached the shard: it is still at epoch 1.
+    assert_eq!(shards[0].epoch(), 1);
+    router.shutdown().unwrap();
+    for shard in shards {
+        shard.shutdown().unwrap();
+    }
+}
+
+#[test]
 fn client_surfaces_version_rejection_as_typed_mismatch() {
     let _guard = serial();
     // A fake "old" server that rejects every HELLO with the typed code.
@@ -443,4 +522,116 @@ fn router_refuses_mixed_schemas_and_non_shard_servers() {
 
 fn shard_b_cleanup(shard: Server) {
     shard.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// the shared connection service, seen through the router
+// ---------------------------------------------------------------------
+
+#[test]
+fn router_shutdown_is_not_starved_by_a_peer_that_never_goes_quiet() {
+    let _guard = serial();
+    let schema = SkimmedSchema::scanning(Domain::with_log2(8), 3, 32, 1);
+    let (shards, addrs) = start_shards(1, &schema);
+    let router = Router::bind("127.0.0.1:0", test_router_config(addrs)).unwrap();
+
+    // Back-to-back requests: the router never sees an idle read tick on
+    // this connection, so only a drain check before *every* read can
+    // end the session.
+    let mut client =
+        ServerClient::connect_with(router.local_addr(), test_client_config(0)).unwrap();
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let busy = std::thread::spawn(move || {
+        let mut served = 0u64;
+        loop {
+            let round = client
+                .heartbeat(0)
+                .and_then(|_| client.query_join())
+                .map(|_| ());
+            match round {
+                Ok(()) => served += 2,
+                Err(e) => return (served, e),
+            }
+            if served == 10 {
+                started_tx.send(()).unwrap();
+            }
+        }
+    });
+    started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(router.shutdown()).unwrap());
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Router::shutdown wedged behind a busy connection")
+        .unwrap();
+    let (served, err) = busy.join().unwrap();
+    assert!(served >= 10);
+    assert!(
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::ShuttingDown,
+                ..
+            }
+        ),
+        "the busy peer must see the typed drain notice, got {err}"
+    );
+    for shard in shards {
+        shard.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn router_serves_past_a_pinned_pool_and_overflow_identities_never_collide() {
+    let _guard = serial();
+    let domain_log2 = 10;
+    let schema = SkimmedSchema::scanning(Domain::with_log2(domain_log2), 4, 64, 5);
+    let (shards, addrs) = start_shards(2, &schema);
+    let config = test_router_config(addrs);
+    let handler_threads = config.handler_threads;
+    let router = Router::bind("127.0.0.1:0", config).unwrap();
+    let connect = || ServerClient::connect_with(router.local_addr(), test_client_config(0));
+
+    // Pin every pooled handler with a persistent, idle session.
+    let pinned: Vec<ServerClient> = (0..handler_threads).map(|_| connect().unwrap()).collect();
+
+    // Further clients still get HELLO_ACK (the overflow lane), two of
+    // them live at once. Their *unsequenced* batches are forwarded
+    // under per-thread shard identities; if two live threads ever
+    // shared one, the shards' dedup would swallow one thread's batches
+    // as replays of the other's and the totals below would come short.
+    let mut a = connect().expect("a client past the pinned pool must still be served");
+    let mut b = connect().expect("and a second one alongside it");
+    let ua = mixed_updates(6_000, domain_log2, 0xA11CE);
+    let ub = mixed_updates(6_000, domain_log2, 0xB0B);
+    for (ca, cb) in ua.chunks(500).zip(ub.chunks(500)) {
+        assert_eq!(a.send_all(StreamId::F, ca, 250).unwrap().updates, 500);
+        assert_eq!(b.send_all(StreamId::F, cb, 250).unwrap().updates, 500);
+    }
+    b.goodbye().unwrap();
+    // A client arriving after `b` left may inherit its slot — only once
+    // `b`'s thread is gone — and resumes that identity's sequence.
+    let mut c = connect().unwrap();
+    let uc = mixed_updates(3_000, domain_log2, 0xCAFE);
+    c.send_all(StreamId::F, &uc, 250).unwrap();
+
+    let mut expect = skimmed_sketch::SkimmedSketch::new(schema.clone());
+    for part in [&ua, &ub, &uc] {
+        expect.add_batch(part);
+    }
+    let merged = a.snapshot(StreamId::F).unwrap();
+    assert_eq!(
+        merged.level_counters(),
+        expect.level_counters(),
+        "every routed unsequenced batch applied exactly once"
+    );
+
+    for client in pinned.into_iter().chain([a, c]) {
+        client.goodbye().unwrap();
+    }
+    router.shutdown().unwrap();
+    for shard in shards {
+        shard.shutdown().unwrap();
+    }
 }

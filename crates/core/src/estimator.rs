@@ -293,10 +293,13 @@ impl LinearSynopsis for SkimmedSketch {
     fn merge_from(&mut self, other: &Self) {
         assert!(self.compatible(other), "incompatible skimmed sketches");
         self.l1_mass = self.l1_mass.saturating_add(other.l1_mass);
-        match (&mut self.scan, &other.scan, &mut self.dyadic, &other.dyadic) {
-            (Some(a), Some(b), _, _) => a.merge_from(b),
-            (None, None, Some(a), Some(b)) => a.merge_from(b),
-            _ => unreachable!("compatible sketches share representation"),
+        // Compatible sketches share one representation, so exactly one
+        // of these pairs is populated.
+        if let (Some(a), Some(b)) = (&mut self.scan, &other.scan) {
+            a.merge_from(b);
+        }
+        if let (Some(a), Some(b)) = (&mut self.dyadic, &other.dyadic) {
+            a.merge_from(b);
         }
     }
 

@@ -223,7 +223,7 @@ impl FaultyTransport {
             let accepted = Arc::clone(&accepted);
             thread::Builder::new()
                 .name("faulty-transport".into())
-                .spawn(move || accept_loop(listener, upstream, plan, stop, accepted))
+                .spawn(move || proxy_connections(listener, upstream, plan, stop, accepted))
                 // ss-analyze: allow(a2-panic-free) -- deterministic fault-injection test harness, not a serving path; failing to spawn the proxy thread should abort the test loudly
                 .expect("spawn faulty-transport acceptor")
         };
@@ -264,7 +264,7 @@ impl Drop for FaultyTransport {
     }
 }
 
-fn accept_loop(
+fn proxy_connections(
     listener: TcpListener,
     upstream: SocketAddr,
     plan: FaultPlan,

@@ -627,13 +627,17 @@ mod tests {
     fn one_shot_matches_sequential_for_agms_and_countmin() {
         let updates = mixed_updates(20_000);
 
+        // Including the degenerate inputs: nothing to ingest, and fewer
+        // updates than workers.
         let agms_schema = AgmsSchema::new(4, 16, 7);
-        let par = ingest_parallel(&updates, 4, 512, || AgmsSketch::new(agms_schema.clone()));
-        let mut seq = AgmsSketch::new(agms_schema);
-        for &u in &updates {
-            seq.update(u);
+        for (input, threads) in [(&updates[..], 4), (&[], 4), (&updates[..1], 8)] {
+            let par = ingest_parallel(input, threads, 512, || AgmsSketch::new(agms_schema.clone()));
+            let mut seq = AgmsSketch::new(agms_schema.clone());
+            for &u in input {
+                seq.update(u);
+            }
+            assert_eq!(par.counters(), seq.counters(), "{} updates", input.len());
         }
-        assert_eq!(par.counters(), seq.counters());
 
         let cm_schema = CountMinSchema::new(4, 128, 9);
         let par = ingest_parallel(&updates, 3, 777, || CountMinSketch::new(cm_schema.clone()));

@@ -91,7 +91,10 @@ impl std::fmt::Display for ClientError {
                 write!(f, "protocol version {offered} rejected: {message}")
             }
             ClientError::V3Required { negotiated } => {
-                write!(f, "request requires protocol >= 3, session negotiated {negotiated}")
+                write!(
+                    f,
+                    "request requires protocol >= 3, session negotiated {negotiated}"
+                )
             }
             ClientError::Exhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} reconnect attempts: {last}")
@@ -474,19 +477,9 @@ impl ServerClient {
     /// sequence counters past them. Call after reconnecting to replay
     /// from the first unacknowledged batch.
     pub fn resume(&mut self) -> Result<(u64, u64), ClientError> {
-        match self.call(&Frame::Resume {
-            client_id: self.config.client_id,
-        })? {
-            Frame::ResumeAck {
-                last_seq_f,
-                last_seq_g,
-            } => {
-                self.next_seq = [last_seq_f + 1, last_seq_g + 1];
-                Ok((last_seq_f, last_seq_g))
-            }
-            // ss-analyze: allow(a6-frame-exhaustive) -- client-side strict request/reply: every non-matching kind is uniformly *rejected* as UnexpectedFrame, not absorbed
-            _ => Err(ClientError::UnexpectedFrame("resume reply")),
-        }
+        let (last_seq_f, last_seq_g) = self.resume_of(self.config.client_id)?;
+        self.next_seq = [last_seq_f + 1, last_seq_g + 1];
+        Ok((last_seq_f, last_seq_g))
     }
 
     /// Sends one batch without retrying: THROTTLE surfaces as
@@ -500,39 +493,18 @@ impl ServerClient {
         stream: StreamId,
         updates: &[Update],
     ) -> Result<BatchOutcome, ClientError> {
-        let sequenced = self.config.client_id != 0;
-        let seq = if sequenced {
-            // ss-analyze: allow(a2-panic-free) -- two-variant `StreamId` indexing a `[u64; 2]`
-            self.next_seq[stream as usize]
+        let client_id = self.config.client_id;
+        let seq = if client_id != 0 {
+            self.next_seq(stream)
         } else {
             0
         };
-        // Vectored borrowed-parts send: no `Frame` is materialised and the
-        // updates are never cloned — header + payload go out in one
-        // `write_vectored` call.
-        let (ctx, _span) = self.begin_trace(updates.len() as u64);
-        stream_wire::write_update_batch_traced(
-            &mut self.sock,
-            stream,
-            self.config.client_id,
-            seq,
-            updates,
-            ctx,
-        )
-        .map_err(ClientError::Io)?;
-        let reply = self.read_reply()?;
-        match reply {
-            Frame::BatchAck { accepted } => {
-                if sequenced {
-                    // ss-analyze: allow(a2-panic-free) -- two-variant `StreamId` indexing a `[u64; 2]`
-                    self.next_seq[stream as usize] = seq + 1;
-                }
-                Ok(BatchOutcome::Accepted(accepted))
-            }
-            Frame::Throttle { pending, limit } => Ok(BatchOutcome::Throttled { pending, limit }),
-            // ss-analyze: allow(a6-frame-exhaustive) -- client-side strict request/reply: every non-matching kind is uniformly *rejected* as UnexpectedFrame, not absorbed
-            _ => Err(ClientError::UnexpectedFrame("batch reply")),
+        let outcome = self.send_batch_as(stream, client_id, seq, updates)?;
+        if client_id != 0 && matches!(outcome, BatchOutcome::Accepted(_)) {
+            // ss-analyze: allow(a2-panic-free) -- two-variant `StreamId` indexing a `[u64; 2]`
+            self.next_seq[stream as usize] = seq + 1;
         }
+        Ok(outcome)
     }
 
     /// Sends one batch under an explicit `(client_id, seq)` identity,

@@ -1,10 +1,12 @@
 //! # stream-server
 //!
 //! The network serving layer over the skimmed-sketch ingest/query
-//! pipeline: a TCP acceptor plus a fixed pool of connection-handler
-//! threads speaking the [`stream_wire`] protocol, feeding decoded
+//! pipeline: the [`conn`] connection service (a TCP acceptor plus a
+//! pool of connection-handler threads speaking the [`stream_wire`]
+//! protocol) over a node's request handler, which feeds decoded
 //! UPDATE_BATCH frames into two [`IngestPool`]s (one per join input) and
-//! answering join-size queries from their linearizable snapshots.
+//! answers join-size queries from their linearizable snapshots. The
+//! same connection service fronts the cluster router (`ss-cluster`).
 //!
 //! This is the deployment the paper implies: remote sites *stream
 //! updates* to a processing site which maintains small sketches and
@@ -14,9 +16,10 @@
 //!
 //! Every stage between the socket and the sketch is bounded:
 //!
-//! * the acceptor hands connections to handlers over a bounded queue —
-//!   when all handlers are busy, accepting stops and the OS listen
-//!   backlog (itself bounded) takes the overflow;
+//! * the acceptor hands a connection to a free pooled handler or, when
+//!   long-lived sessions pin them all, to a capped overflow lane — past
+//!   that, accepting stops and the OS listen backlog (itself bounded)
+//!   takes the rest;
 //! * one request per connection is in flight at a time (the protocol is
 //!   strict request/reply), so a connection buffers at most one frame;
 //! * batches enter the ingest pool with [`IngestPool::try_dispatch`] —
@@ -66,8 +69,8 @@
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] stops the acceptor, lets each handler finish its
-//! in-flight request (idle connections are closed at the next read-tick
-//! with an `ERROR {ShuttingDown}` frame), drains both ingest pools,
+//! in-flight request (every connection's next read answers
+//! `ERROR {ShuttingDown}`), drains both ingest pools,
 //! writes a final snapshot when a WAL is configured, and returns the
 //! final merged sketches — nothing acknowledged is lost.
 //!
@@ -95,8 +98,11 @@
 #![warn(clippy::all)]
 
 mod client;
+pub mod conn;
 mod inspect;
+mod redial;
 mod replication;
+mod reply;
 mod resilient;
 mod telem;
 
@@ -104,9 +110,12 @@ pub use client::{
     Backoff, BackoffConfig, BatchOutcome, ClientConfig, ClientError, JoinAnswer, ReplicaChunk,
     ReplicaStatus, SendReport, ServerClient,
 };
+pub use redial::{Attempt, Redial};
+pub use reply::{join_answer, recent_wire_events, self_join_answer};
 pub use resilient::ResilientClient;
 
 use bytes::Bytes;
+use conn::{Conn, Flow, FrameHandler, Service, ServiceConfig};
 use inspect::{Audit, SlowLog};
 use skimmed_sketch::{
     decode_skimmed, encode_skimmed, estimate_join, estimate_self_join, EstimatorConfig,
@@ -115,20 +124,17 @@ use skimmed_sketch::{
 use ss_trace::Phase;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stream_durability::{DedupEntry, SnapshotBlob, Wal, WalConfig, WalTailer};
 use stream_ingest::{IngestError, IngestPool, TraceTag};
 use stream_model::StreamSink;
 use stream_wire::{
-    ErrorCode, Frame, InspectReport, ServerInfo, SlowQueryEntry, StreamId, TraceContext, WireError,
-    INSPECT_AUDIT, INSPECT_EVENTS, INSPECT_METRICS, INSPECT_SLOW, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, SHARD_STREAM_F, SHARD_STREAM_G,
+    ErrorCode, Frame, InspectReport, ServerInfo, SlowQueryEntry, StreamId, INSPECT_AUDIT,
+    INSPECT_EVENTS, INSPECT_METRICS, INSPECT_SLOW, SHARD_STREAM_F, SHARD_STREAM_G,
 };
 use telem::{server_metrics, ServerMetrics};
 
@@ -341,20 +347,7 @@ struct Inner {
     /// each poll carries, feeding the sequenced-write ack gate
     /// ([`replication::gate_ack`]).
     follower_ack: replication::FollowerAck,
-    /// Overflow connection handlers: when every pooled handler is
-    /// pinned by a long-lived session (a follower's replication poll, a
-    /// router supervisor's heartbeat probe), new connections get a
-    /// dedicated thread instead of queueing behind sessions that never
-    /// end. Capped at [`OVERFLOW_HANDLERS_MAX`]; joined at
-    /// shutdown/halt.
-    // ss-analyze: allow(a4-blocking-hot-path) -- touched on accept overflow and at shutdown only, never per frame
-    overflow: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
-
-/// Hard cap on concurrently-live overflow handler threads (beyond the
-/// fixed pool). Past it the acceptor falls back to waiting for a pooled
-/// handler, as before the overflow lane existed.
-const OVERFLOW_HANDLERS_MAX: usize = 64;
 
 impl Inner {
     fn pool(&self, stream: StreamId) -> &IngestPool<SkimmedSketch> {
@@ -383,20 +376,6 @@ impl Inner {
             .as_ref()
             .map_or((0, 0), |w| (w.active_segment_id(), w.active_segment_len()))
     }
-
-    fn info(&self) -> ServerInfo {
-        let schema = &self.config.schema;
-        ServerInfo {
-            domain_log2: schema.domain().log2_size() as u16,
-            dyadic: matches!(schema.strategy(), ExtractionStrategy::Dyadic),
-            tables: schema.base().tables() as u32,
-            buckets: schema.base().buckets() as u32,
-            seed: schema.seed(),
-            max_batch: self.config.max_batch,
-            // ss-analyze: allow(a2-panic-free) -- constant index into `[_; 2]`
-            queue_limit: self.pools[0].queue_capacity() as u32,
-        }
-    }
 }
 
 /// A running skimmed-sketch server. Dropping it without calling
@@ -404,9 +383,8 @@ impl Inner {
 /// down explicitly to drain (or [`Server::halt`] to simulate a crash).
 pub struct Server {
     inner: Arc<Inner>,
-    local_addr: SocketAddr,
-    acceptor: JoinHandle<()>,
-    handlers: Vec<JoinHandle<()>>,
+    /// The acceptor and handler threads serving `inner` (see [`conn`]).
+    service: Service<Inner>,
     recovery: Option<RecoveryReport>,
 }
 
@@ -420,9 +398,6 @@ impl Server {
     /// table is rebuilt — see [`Server::recovery`] for what was found.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         assert!(config.handler_threads > 0, "need at least one handler");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let metrics = stream_telemetry::ENABLED.then(server_metrics);
         let schema = config.schema.clone();
         if let Some(dir) = &config.postmortem_dir {
@@ -538,68 +513,40 @@ impl Server {
             repl: config.follower_of.clone().map(replication::ReplState::new),
             follower_ack: replication::FollowerAck::new(),
             config,
-            // ss-analyze: allow(a4-blocking-hot-path) -- see the `overflow` field: accept-time and shutdown-time only
-            overflow: Mutex::new(Vec::new()),
         });
         if follower {
             replication::spawn(&inner)?;
         }
-
-        // Bounded hand-off from acceptor to handlers: when all handlers
-        // are busy the acceptor blocks here and new connections wait in
-        // the OS listen backlog instead of a process-side queue.
-        let (conn_tx, conn_rx) =
-            std::sync::mpsc::sync_channel::<TcpStream>(inner.config.handler_threads * 2);
-        // ss-analyze: allow(a4-blocking-hot-path) -- accept-path hand-off, taken once per connection (not per frame); contention is bounded by the handler count
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let handlers = (0..inner.config.handler_threads)
-            .map(|_| {
-                let inner = inner.clone();
-                let conn_rx = conn_rx.clone();
-                std::thread::spawn(move || loop {
-                    let next = {
-                        // A poisoned lock only means a sibling handler
-                        // panicked mid-recv; the receiver itself is still
-                        // coherent, so keep serving instead of cascading.
-                        let rx = conn_rx.lock().unwrap_or_else(|p| p.into_inner());
-                        rx.recv_timeout(Duration::from_millis(100))
-                    };
-                    match next {
-                        Ok(sock) => {
-                            if inner.shutdown.load(Ordering::Acquire) {
-                                continue; // accepted but never served: drop
-                            }
-                            handle_connection(&inner, sock);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if inner.shutdown.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor = {
-            let inner = inner.clone();
-            std::thread::spawn(move || accept_loop(&listener, &conn_tx, &inner))
+        let started = Service::start(
+            addr,
+            inner.clone(),
+            ServiceConfig {
+                name: "server",
+                handler_threads: inner.config.handler_threads,
+                read_timeout: inner.config.read_timeout,
+                write_timeout: inner.config.write_timeout,
+                max_payload: inner.config.max_payload,
+            },
+        );
+        let service = match started {
+            Ok(service) => service,
+            Err(e) => {
+                // The poll thread holds an `Inner` clone; do not leak it
+                // behind a failed bind.
+                replication::stop(&inner);
+                return Err(e);
+            }
         };
-
         Ok(Server {
             inner,
-            local_addr,
-            acceptor,
-            handlers,
+            service,
             recovery,
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// Advertised schema and limits (what clients see in HELLO_ACK).
@@ -680,45 +627,18 @@ impl Server {
         // first or `try_unwrap` below reports the state as held.
         replication::stop(&self.inner);
         let mut first_err: Option<ServerError> = None;
-        if self.acceptor.join().is_err() {
+        // Handlers observe the drain before reading their next request,
+        // so these joins are bounded by one in-flight request each.
+        for thread in self.service.stop() {
             if let Some(m) = metrics {
                 m.thread_panics.inc();
             }
-            let _ = ss_trace::postmortem("acceptor-panic");
-            first_err = Some(ServerError::ThreadPanicked { thread: "acceptor" });
-        }
-        for h in self.handlers {
-            if h.join().is_err() {
-                if let Some(m) = metrics {
-                    m.thread_panics.inc();
-                }
-                let _ = ss_trace::postmortem("handler-panic");
-                first_err.get_or_insert(ServerError::ThreadPanicked {
-                    thread: "connection handler",
-                });
-            }
-        }
-        // Overflow handlers hold `Inner` clones too; they observe the
-        // shutdown flag before reading their next request, so these
-        // joins are bounded by one in-flight request each.
-        let overflow = {
-            let mut guard = self
-                .inner
-                .overflow
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        for h in overflow {
-            if h.join().is_err() {
-                if let Some(m) = metrics {
-                    m.thread_panics.inc();
-                }
-                let _ = ss_trace::postmortem("handler-panic");
-                first_err.get_or_insert(ServerError::ThreadPanicked {
-                    thread: "connection handler",
-                });
-            }
+            let _ = ss_trace::postmortem(if thread == "acceptor" {
+                "acceptor-panic"
+            } else {
+                "handler-panic"
+            });
+            first_err.get_or_insert(ServerError::ThreadPanicked { thread });
         }
         // Every thread holding a clone is joined above, so this is the
         // last reference; a failure means an `Arc` leaked somewhere.
@@ -787,21 +707,7 @@ impl Server {
         // The crash dump a real SIGKILL could never write: the flight
         // recorder's last events, for the post-mortem that follows.
         let _ = ss_trace::postmortem("halt");
-        let _ = self.acceptor.join();
-        for h in self.handlers {
-            let _ = h.join();
-        }
-        let overflow = {
-            let mut guard = self
-                .inner
-                .overflow
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        for h in overflow {
-            let _ = h.join();
-        }
+        let _ = self.service.stop();
         // Dropping `inner` closes the pools' channels; workers exit
         // without being drained and their shards are lost, as in a real
         // crash. The WAL file handle drops unsynced.
@@ -819,228 +725,26 @@ fn dedup_entries(dedup: &HashMap<u64, [u64; 2]>) -> Vec<DedupEntry> {
         .collect()
 }
 
-fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, inner: &Arc<Inner>) {
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
-            Ok((sock, _peer)) => {
-                if let Some(m) = inner.metrics {
-                    m.accepted.inc();
-                }
-                // Bounded hand-off; poll so a shutdown during a full
-                // queue cannot wedge the acceptor.
-                let mut sock = sock;
-                loop {
-                    match conn_tx.try_send(sock) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(s)) => {
-                            if inner.shutdown.load(Ordering::Acquire) {
-                                return;
-                            }
-                            // Every pooled handler is busy — and with
-                            // replication in the picture, possibly busy
-                            // *forever* (a follower's poll session and a
-                            // supervisor's probe session never end). Spill
-                            // to a dedicated thread rather than queueing a
-                            // client behind sessions that won't yield.
-                            match spawn_overflow(inner, s) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    sock = back;
-                                    // ss-analyze: allow(a4-blocking-hot-path) -- acceptor backoff at the overflow cap; no frame is in flight on this thread
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => return,
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // ss-analyze: allow(a4-blocking-hot-path) -- nonblocking-accept poll tick; the acceptor owns no data-path work
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. ECONNABORTED): keep serving.
-                // ss-analyze: allow(a4-blocking-hot-path) -- accept-error backoff on the acceptor thread, off the data path
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-}
-
-/// Serves `sock` on a fresh overflow thread (see [`Inner::overflow`]).
-/// Returns the socket back when the overflow lane is at its cap;
-/// finished overflow threads are reaped here, so the vector's length is
-/// the number of *live* ones. If the spawn itself fails the connection
-/// is dropped (the peer sees a reset and retries), which is the same
-/// outcome as an accept error under resource exhaustion.
-fn spawn_overflow(inner: &Arc<Inner>, sock: TcpStream) -> Result<(), TcpStream> {
-    let mut overflow = inner.overflow.lock().unwrap_or_else(|p| p.into_inner());
-    overflow.retain(|h| !h.is_finished());
-    if overflow.len() >= OVERFLOW_HANDLERS_MAX {
-        return Err(sock);
-    }
-    let thread_inner = inner.clone();
-    if let Ok(handle) = std::thread::Builder::new()
-        .name("ss-overflow".to_string())
-        .spawn(move || handle_connection(&thread_inner, sock))
-    {
-        overflow.push(handle);
-    }
-    Ok(())
-}
-
-/// Sends one frame, counting it into the tx telemetry. The reply echoes
-/// the request's trace context (when it carried one) so the client can
-/// pair its Request span with the server's Handler span.
-fn send(
-    sock: &mut TcpStream,
-    frame: &Frame,
-    ctx: Option<TraceContext>,
-    metrics: Option<&'static ServerMetrics>,
-) -> bool {
-    match frame.write_to_traced(sock, ctx) {
-        Ok(n) => {
-            if let Some(m) = metrics {
-                m.frames_tx.inc();
-                m.bytes_tx.add(n as u64);
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-fn send_error(
-    sock: &mut TcpStream,
-    code: ErrorCode,
-    message: &str,
-    metrics: Option<&'static ServerMetrics>,
-) {
-    let _ = send(
-        sock,
-        &Frame::Error {
-            code,
-            message: message.to_string(),
-        },
-        None,
-        metrics,
-    );
-}
-
-/// Serves one connection to completion: handshake, then strict
-/// request/reply until GOODBYE, error, disconnect, or server shutdown.
-fn handle_connection(inner: &Inner, mut sock: TcpStream) {
-    let metrics = inner.metrics;
-    if sock.set_nodelay(true).is_err()
-        || sock
-            .set_read_timeout(Some(inner.config.read_timeout))
-            .is_err()
-        || sock
-            .set_write_timeout(Some(inner.config.write_timeout))
-            .is_err()
-    {
-        return;
-    }
-    if let Some(m) = metrics {
-        m.connections.add(1);
-    }
-    serve_frames(inner, &mut sock);
-    if let Some(m) = metrics {
-        m.connections.add(-1);
-    }
-}
-
-/// Reads one frame, handling idle ticks and shutdown; `None` means the
-/// connection is done (closed, errored, or the server is draining).
-///
-/// `scratch` is the connection's reusable payload buffer: it grows to the
-/// largest payload the connection has seen and is reused for every frame
-/// after, so steady-state ingest performs no per-frame allocation.
-fn next_frame(
-    inner: &Inner,
-    sock: &mut TcpStream,
-    scratch: &mut Vec<u8>,
-) -> Option<(Frame, Option<TraceContext>)> {
-    let metrics = inner.metrics;
-    loop {
-        // Checked before every read, not just on idle ticks: a peer
-        // that never goes quiet (a replication poll loop, a tight
-        // producer) must not be able to starve the drain and wedge
-        // shutdown/halt joins. The request already being processed
-        // still finishes — this gates picking up the *next* one.
-        if inner.shutdown.load(Ordering::Acquire) {
-            send_error(
-                sock,
-                ErrorCode::ShuttingDown,
-                "server draining; reconnect later",
-                metrics,
-            );
-            return None;
-        }
-        match Frame::read_traced_from_with_scratch(sock, inner.config.max_payload, scratch) {
-            Ok((frame, n, ctx)) => {
-                if let Some(m) = metrics {
-                    m.frames_rx.inc();
-                    m.bytes_rx.add(n as u64);
-                }
-                return Some((frame, ctx));
-            }
-            Err(WireError::Idle) => {}
-            Err(WireError::Closed) => return None,
-            Err(WireError::Io(_)) => return None,
-            Err(decode_err) => {
-                // Header/CRC/payload-shape failures: the stream may no
-                // longer sit at a frame boundary, so report and close.
-                if let Some(m) = metrics {
-                    m.decode_errors.inc();
-                }
-                send_error(sock, ErrorCode::Protocol, &decode_err.to_string(), metrics);
-                return None;
-            }
-        }
-    }
-}
-
-/// The per-request trace handles threaded through a handler: the wire
-/// context to echo on the reply, and the `(trace, parent-span)` tag
-/// downstream stages (queue, ingest, WAL) parent their spans under.
-#[derive(Clone, Copy)]
-struct ReqTrace {
-    ctx: Option<TraceContext>,
-    tag: TraceTag,
-}
-
 /// Handles one UPDATE_BATCH (already destructured by the dispatch
-/// match): dedup, dispatch, WAL append, ack — in that order. Returns
-/// `false` when the connection must close.
+/// match): dedup, dispatch, WAL append, ack — in that order.
 fn handle_update_batch(
     inner: &Inner,
-    sock: &mut TcpStream,
+    conn: &mut Conn<'_>,
     stream: StreamId,
     client_id: u64,
     seq: u64,
     updates: Vec<stream_model::update::Update>,
-    trace: ReqTrace,
-) -> bool {
-    let ReqTrace { ctx, tag } = trace;
+) -> Flow {
+    let tag = conn.tag();
     let metrics = inner.metrics;
     let _span = metrics.map(|m| m.update_latency.start_span());
     let len = updates.len();
     if len as u64 > inner.config.max_batch as u64 {
-        send_error(
-            sock,
+        let max = inner.config.max_batch;
+        return conn.refuse(
             ErrorCode::BatchTooLarge,
-            &format!(
-                "batch of {} exceeds max_batch {}",
-                len, inner.config.max_batch
-            ),
-            metrics,
+            &format!("batch of {len} exceeds max_batch {max}"),
         );
-        return true;
     }
     let accepted = len as u64;
     // §5.1 audit: fold sampled keys into the exact counts before the
@@ -1051,20 +755,15 @@ fn handle_update_batch(
     }
     let pool = inner.pool(stream);
 
-    let ack = |sock: &mut TcpStream| send(sock, &Frame::BatchAck { accepted }, ctx, metrics);
-    let throttle = |sock: &mut TcpStream| {
+    let ack = |conn: &mut Conn<'_>| conn.send(&Frame::BatchAck { accepted });
+    let throttle = |conn: &mut Conn<'_>| {
         if let Some(m) = metrics {
             m.throttles.inc();
         }
-        send(
-            sock,
-            &Frame::Throttle {
-                pending: pool.pending_chunks(),
-                limit: pool.queue_capacity(),
-            },
-            ctx,
-            metrics,
-        )
+        conn.send(&Frame::Throttle {
+            pending: pool.pending_chunks(),
+            limit: pool.queue_capacity(),
+        })
     };
 
     // Fast path — nothing to log, nothing to dedup: unsequenced traffic
@@ -1078,9 +777,9 @@ fn handle_update_batch(
                 if let Some(m) = metrics {
                     m.updates_accepted.add(accepted);
                 }
-                ack(sock)
+                ack(conn)
             }
-            Err(_refused) => throttle(sock),
+            Err(_refused) => throttle(conn),
         };
     }
 
@@ -1114,8 +813,8 @@ fn handle_update_batch(
                 m.dup_batches.inc();
             }
             return match target {
-                Some(t) if !replication::gate_ack(inner, t) => throttle(sock),
-                _ => ack(sock),
+                Some(t) if !replication::gate_ack(inner, t) => throttle(conn),
+                _ => ack(conn),
             };
         }
     }
@@ -1127,7 +826,7 @@ fn handle_update_batch(
         .then(|| stream_wire::encode_update_batch(stream, client_id, seq, &updates));
     if pool.try_dispatch_traced(updates, tag).is_err() {
         drop(persist);
-        return throttle(sock);
+        return throttle(conn);
     }
     if let Some((trace, parent)) = tag {
         ss_trace::instant(Phase::Queue, trace, parent, accepted);
@@ -1150,13 +849,7 @@ fn handle_update_batch(
                 bump_dedup(&mut persist, client_id, stream, seq);
             }
             drop(persist);
-            send_error(
-                sock,
-                ErrorCode::Internal,
-                &format!("wal append failed: {e}"),
-                metrics,
-            );
-            return true;
+            return conn.refuse(ErrorCode::Internal, &format!("wal append failed: {e}"));
         }
         if let Some(m) = metrics {
             m.wal_appends.inc();
@@ -1179,8 +872,8 @@ fn handle_update_batch(
     // producer believes are durable. Timing out throttles the producer;
     // its retry hits the dedup path above and re-checks the gate.
     match gate_target {
-        Some(target) if !replication::gate_ack(inner, target) => throttle(sock),
-        _ => ack(sock),
+        Some(target) if !replication::gate_ack(inner, target) => throttle(conn),
+        _ => ack(conn),
     }
 }
 
@@ -1219,55 +912,32 @@ fn maybe_checkpoint(inner: &Inner, persist: &mut Persist) {
     }
 }
 
-fn serve_frames(inner: &Inner, sock: &mut TcpStream) {
-    let metrics = inner.metrics;
-    // One payload buffer for the connection's whole life (see `next_frame`).
-    let mut scratch = Vec::new();
+impl FrameHandler for Inner {
+    type State = ();
 
-    // Handshake: the first frame must be HELLO offering a protocol
-    // version in our accepted range. The session then speaks the
-    // *offered* version: a v2 client never sees (and may not send) the
-    // v3 cluster vocabulary. Out-of-range offers get the typed
-    // UNSUPPORTED_VERSION code so mixed fleets fail loud at rollout
-    // instead of tripping generic protocol errors mid-session.
-    let session_protocol;
-    match next_frame(inner, sock, &mut scratch) {
-        Some((Frame::Hello { protocol, .. }, ctx)) => {
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) {
-                send_error(
-                    sock,
-                    ErrorCode::UnsupportedVersion,
-                    &format!(
-                        "protocol {protocol} unsupported (server speaks \
-                         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                    ),
-                    metrics,
-                );
-                return;
-            }
-            session_protocol = protocol;
-            if !send(sock, &Frame::HelloAck(inner.info()), ctx, metrics) {
-                return;
-            }
+    fn info(&self) -> ServerInfo {
+        let schema = &self.config.schema;
+        ServerInfo {
+            domain_log2: schema.domain().log2_size() as u16,
+            dyadic: matches!(schema.strategy(), ExtractionStrategy::Dyadic),
+            tables: schema.base().tables() as u32,
+            buckets: schema.base().buckets() as u32,
+            seed: schema.seed(),
+            max_batch: self.config.max_batch,
+            // ss-analyze: allow(a2-panic-free) -- constant index into `[_; 2]`
+            queue_limit: self.pools[0].queue_capacity() as u32,
         }
-        Some(_) => {
-            send_error(sock, ErrorCode::Protocol, "expected HELLO", metrics);
-            return;
-        }
-        None => return,
     }
 
-    while let Some((frame, ctx)) = next_frame(inner, sock, &mut scratch) {
-        // The request's Handler span: child of the client's Request
-        // span when the frame carried a trace context; downstream work
-        // (queueing, ingest, WAL, estimation) parents under it.
-        let handler_span = ctx.map(|c| ss_trace::span(Phase::Handler, c.trace_id, c.span_id, 0));
-        let tag: TraceTag = ctx.map(|c| {
-            let parent = handler_span
-                .as_ref()
-                .map_or(c.span_id, ss_trace::SpanGuard::id);
-            (c.trace_id, parent)
-        });
+    fn thread_state(&self, _slot: usize) {}
+
+    /// What a node does with a request: dedup → dispatch → WAL → ack
+    /// for writes, snapshot → estimate → encode for reads, and the
+    /// replication verbs. The session's protocol already admits `frame`
+    /// (see [`conn`]), so the v3 arms need no gate of their own.
+    fn handle(&self, _state: &mut (), frame: Frame, conn: &mut Conn<'_>) -> Flow {
+        let metrics = self.metrics;
+        let kind = frame.kind_tag();
         match frame {
             Frame::UpdateBatch {
                 stream,
@@ -1275,221 +945,133 @@ fn serve_frames(inner: &Inner, sock: &mut TcpStream) {
                 seq,
                 updates,
             } => {
-                if inner.role() == Role::Follower {
+                if self.role() == Role::Follower {
                     // Typed refusal, session kept open: the producer's
                     // router re-resolves the primary and retries there.
-                    let primary = inner.config.follower_of.as_deref().unwrap_or("the primary");
-                    send_error(
-                        sock,
+                    let primary = self.config.follower_of.as_deref().unwrap_or("the primary");
+                    return conn.refuse(
                         ErrorCode::NotPrimary,
                         &format!("follower of {primary}: writes go to the primary"),
-                        metrics,
                     );
-                    continue;
                 }
-                let trace = ReqTrace { ctx, tag };
-                if !handle_update_batch(inner, sock, stream, client_id, seq, updates, trace) {
-                    return;
-                }
+                handle_update_batch(self, conn, stream, client_id, seq, updates)
             }
             Frame::Resume { client_id } => {
-                let last = {
+                let [last_seq_f, last_seq_g] = {
                     // Same poison-recovery argument as the persist path.
-                    let persist = inner.persist.lock().unwrap_or_else(|p| p.into_inner());
+                    let persist = self.persist.lock().unwrap_or_else(|p| p.into_inner());
                     persist.dedup.get(&client_id).copied().unwrap_or([0, 0])
                 };
-                let [last_seq_f, last_seq_g] = last;
-                let reply = Frame::ResumeAck {
+                conn.send(&Frame::ResumeAck {
                     last_seq_f,
                     last_seq_g,
-                };
-                if !send(sock, &reply, ctx, metrics) {
-                    return;
-                }
+                })
             }
             Frame::QueryJoin => {
                 let _span = metrics.map(|m| m.query_join_latency.start_span());
                 let t0 = Instant::now();
-                let snap_span = tag.map(|(t, p)| ss_trace::span(Phase::Snapshot, t, p, 0));
-                let snaps = (
-                    inner.pool(StreamId::F).snapshot_traced(tag),
-                    inner.pool(StreamId::G).snapshot_traced(tag),
-                );
-                drop(snap_span);
+                let Some((f, g)) = self.snapshot_phase(conn, |tag| {
+                    let f = self.pool(StreamId::F).snapshot_traced(tag)?;
+                    Ok((f, self.pool(StreamId::G).snapshot_traced(tag)?))
+                }) else {
+                    return Flow::Close;
+                };
                 let t1 = Instant::now();
-                let (Ok(f), Ok(g)) = snaps else {
-                    send_error(sock, ErrorCode::Internal, "ingest worker lost", metrics);
-                    return;
+                let est = {
+                    let _estimate = conn.span(Phase::Estimate);
+                    estimate_join(&f, &g, &self.config.estimator)
                 };
-                let est_span = tag.map(|(t, p)| ss_trace::span(Phase::Estimate, t, p, 0));
-                let est = estimate_join(&f, &g, &inner.config.estimator);
-                drop(est_span);
-                let t2 = Instant::now();
-                let reply = Frame::Answer {
-                    estimate: est.estimate,
-                    dense_dense: est.dense_dense,
-                    dense_sparse: est.dense_sparse,
-                    sparse_dense: est.sparse_dense,
-                    sparse_sparse: est.sparse_sparse,
-                    dense_f: est.dense_f as u64,
-                    dense_g: est.dense_g as u64,
-                };
-                let enc_span = tag.map(|(t, p)| ss_trace::span(Phase::Encode, t, p, 0));
-                let sent = send(sock, &reply, ctx, metrics);
-                drop(enc_span);
-                record_if_slow(inner, ctx, KIND_QUERY_JOIN, t0, t1, t2);
-                if !sent {
-                    return;
-                }
+                self.reply_phase(conn, kind, [t0, t1, Instant::now()], || join_answer(&est))
             }
             Frame::QuerySelfJoin { stream } => {
                 let _span = metrics.map(|m| m.query_self_latency.start_span());
                 let t0 = Instant::now();
-                let snap_span = tag.map(|(t, p)| ss_trace::span(Phase::Snapshot, t, p, 0));
-                let snap = inner.pool(stream).snapshot_traced(tag);
-                drop(snap_span);
+                let Some(sk) =
+                    self.snapshot_phase(conn, |tag| self.pool(stream).snapshot_traced(tag))
+                else {
+                    return Flow::Close;
+                };
                 let t1 = Instant::now();
-                let Ok(sk) = snap else {
-                    send_error(sock, ErrorCode::Internal, "ingest worker lost", metrics);
-                    return;
+                let estimate = {
+                    let _estimate = conn.span(Phase::Estimate);
+                    estimate_self_join(&sk, &self.config.estimator)
                 };
-                let est_span = tag.map(|(t, p)| ss_trace::span(Phase::Estimate, t, p, 0));
-                let estimate = estimate_self_join(&sk, &inner.config.estimator);
-                drop(est_span);
-                let t2 = Instant::now();
-                let reply = Frame::Answer {
-                    estimate,
-                    dense_dense: 0.0,
-                    dense_sparse: 0.0,
-                    sparse_dense: 0.0,
-                    sparse_sparse: 0.0,
-                    dense_f: 0,
-                    dense_g: 0,
-                };
-                let enc_span = tag.map(|(t, p)| ss_trace::span(Phase::Encode, t, p, 0));
-                let sent = send(sock, &reply, ctx, metrics);
-                drop(enc_span);
-                record_if_slow(inner, ctx, KIND_QUERY_SELF_JOIN, t0, t1, t2);
-                if !sent {
-                    return;
-                }
+                self.reply_phase(conn, kind, [t0, t1, Instant::now()], || {
+                    self_join_answer(estimate)
+                })
             }
             Frame::Snapshot { stream } => {
                 let _span = metrics.map(|m| m.snapshot_latency.start_span());
                 let t0 = Instant::now();
-                let snap_span = tag.map(|(t, p)| ss_trace::span(Phase::Snapshot, t, p, 0));
-                let snap = inner.pool(stream).snapshot_traced(tag);
-                drop(snap_span);
-                let t1 = Instant::now();
-                let Ok(sk) = snap else {
-                    send_error(sock, ErrorCode::Internal, "ingest worker lost", metrics);
-                    return;
+                let Some(sk) =
+                    self.snapshot_phase(conn, |tag| self.pool(stream).snapshot_traced(tag))
+                else {
+                    return Flow::Close;
                 };
-                let enc_span = tag.map(|(t, p)| ss_trace::span(Phase::Encode, t, p, 0));
-                let reply = Frame::SnapshotReply {
+                let t1 = Instant::now();
+                self.reply_phase(conn, kind, [t0, t1, t1], || Frame::SnapshotReply {
                     stream,
                     sketch: encode_skimmed(&sk).to_vec(),
-                };
-                let sent = send(sock, &reply, ctx, metrics);
-                drop(enc_span);
-                record_if_slow(inner, ctx, KIND_SNAPSHOT, t0, t1, t1);
-                if !sent {
-                    return;
-                }
+                })
             }
             Frame::Inspect {
                 sections,
                 last_events,
                 slow_limit,
             } => {
-                let report = build_inspect_report(inner, sections, last_events, slow_limit);
+                let report = build_inspect_report(self, sections, last_events, slow_limit);
                 if let Some(m) = metrics {
                     m.inspects.inc();
                 }
-                if !send(sock, &Frame::InspectReply(Box::new(report)), ctx, metrics) {
-                    return;
-                }
+                conn.send(&Frame::InspectReply(Box::new(report)))
             }
             Frame::ShardQuery { streams } => {
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "SHARD_QUERY requires a protocol-v3 session",
-                        metrics,
-                    );
-                    return;
-                }
-                if !inner.config.shard {
-                    send_error(
-                        sock,
+                if !self.config.shard {
+                    return conn.fail(
                         ErrorCode::Protocol,
                         "not a shard: this server does not serve SHARD_QUERY",
-                        metrics,
                     );
-                    return;
                 }
                 let _span = metrics.map(|m| m.shard_query_latency.start_span());
                 let t0 = Instant::now();
-                let snap_span = tag.map(|(t, p)| ss_trace::span(Phase::Snapshot, t, p, 0));
                 // Snapshot both streams under one request so the reply is
                 // a single linearizable cut of this shard's state.
-                let want_f = streams & SHARD_STREAM_F != 0;
-                let want_g = streams & SHARD_STREAM_G != 0;
-                let snap_f = want_f.then(|| inner.pool(StreamId::F).snapshot_traced(tag));
-                let snap_g = want_g.then(|| inner.pool(StreamId::G).snapshot_traced(tag));
-                drop(snap_span);
+                let Some((f, g)) = self.snapshot_phase(conn, |tag| {
+                    let take = |bit: u8, stream: StreamId| {
+                        (streams & bit != 0)
+                            .then(|| self.pool(stream).snapshot_traced(tag))
+                            .transpose()
+                    };
+                    Ok((
+                        take(SHARD_STREAM_F, StreamId::F)?,
+                        take(SHARD_STREAM_G, StreamId::G)?,
+                    ))
+                }) else {
+                    return Flow::Close;
+                };
                 let t1 = Instant::now();
-                let unpack = |snap: Option<Result<_, _>>| match snap {
-                    None => Some(Vec::new()),
-                    Some(Ok(sk)) => Some(encode_skimmed(&sk).to_vec()),
-                    Some(Err(_)) => None,
+                let encode = |sk: Option<SkimmedSketch>| {
+                    sk.map_or_else(Vec::new, |sk| encode_skimmed(&sk).to_vec())
                 };
-                let (Some(sketch_f), Some(sketch_g)) = (unpack(snap_f), unpack(snap_g)) else {
-                    send_error(sock, ErrorCode::Internal, "ingest worker lost", metrics);
-                    return;
-                };
-                let enc_span = tag.map(|(t, p)| ss_trace::span(Phase::Encode, t, p, 0));
-                let reply = Frame::ShardQueryReply {
+                self.reply_phase(conn, kind, [t0, t1, t1], || Frame::ShardQueryReply {
                     streams,
-                    sketch_f,
-                    sketch_g,
-                };
-                let sent = send(sock, &reply, ctx, metrics);
-                drop(enc_span);
-                record_if_slow(inner, ctx, KIND_SHARD_QUERY, t0, t1, t1);
-                if !sent {
-                    return;
-                }
+                    sketch_f: encode(f),
+                    sketch_g: encode(g),
+                })
             }
+            // A follower's long-poll: its durable frontier is the
+            // implicit ack; the reply is the next chunk of our log.
             Frame::ReplicateAck {
                 epoch: _,
                 segment,
                 offset,
-            } => {
-                // A follower's long-poll: its durable frontier is the
-                // implicit ack; the reply is the next chunk of our log.
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "REPLICATE_ACK requires a protocol-v3 session",
-                        metrics,
-                    );
-                    return;
-                }
-                match replication::serve_poll(inner, segment, offset) {
-                    Ok(reply) => {
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
-                    }
-                    Err((code, message)) => {
-                        send_error(sock, code, &message, metrics);
-                        return;
-                    }
-                }
-            }
+            } => match replication::serve_poll(self, segment, offset) {
+                Ok(reply) => conn.send(&reply),
+                Err((code, message)) => conn.fail(code, &message),
+            },
+            // Push-applied replication: the epoch check inside is the
+            // split-brain fence — a deposed primary's late chunk carries
+            // a stale epoch and is refused.
             Frame::Replicate {
                 epoch,
                 segment,
@@ -1498,144 +1080,99 @@ fn serve_frames(inner: &Inner, sock: &mut TcpStream) {
                 frontier_segment: _,
                 frontier_offset: _,
                 bytes,
-            } => {
-                // Push-applied replication: the epoch check is the
-                // split-brain fence — a deposed primary's late chunk
-                // carries a stale epoch and is refused.
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "REPLICATE requires a protocol-v3 session",
-                        metrics,
-                    );
-                    return;
-                }
-                match replication::apply_push(inner, epoch, segment, offset, snapshot, &bytes) {
-                    Ok((ack_segment, ack_offset)) => {
-                        let reply = Frame::ReplicateAck {
-                            epoch: inner.epoch(),
-                            segment: ack_segment,
-                            offset: ack_offset,
-                        };
-                        if !send(sock, &reply, ctx, metrics) {
-                            return;
-                        }
-                    }
-                    Err((code, message)) => {
-                        send_error(sock, code, &message, metrics);
-                        return;
-                    }
-                }
-            }
+            } => match replication::apply_push(self, epoch, segment, offset, snapshot, &bytes) {
+                Ok((segment, offset)) => conn.send(&Frame::ReplicateAck {
+                    epoch: self.epoch(),
+                    segment,
+                    offset,
+                }),
+                Err((code, message)) => conn.fail(code, &message),
+            },
             Frame::Heartbeat { .. } => {
                 // Request fields carry the prober's view and are not
                 // needed to answer; the reply is this node's role,
                 // epoch, and durable frontier.
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "HEARTBEAT requires a protocol-v3 session",
-                        metrics,
-                    );
-                    return;
-                }
-                let (segment, offset) = inner.wal_frontier();
-                let reply = Frame::Heartbeat {
-                    epoch: inner.epoch(),
-                    primary: inner.role() == Role::Primary,
+                let (segment, offset) = self.wal_frontier();
+                conn.send(&Frame::Heartbeat {
+                    epoch: self.epoch(),
+                    primary: self.role() == Role::Primary,
                     segment,
                     offset,
-                };
-                if !send(sock, &reply, ctx, metrics) {
-                    return;
-                }
+                })
             }
-            Frame::Promote { epoch } => {
-                if session_protocol < 3 {
-                    send_error(
-                        sock,
-                        ErrorCode::Protocol,
-                        "PROMOTE requires a protocol-v3 session",
-                        metrics,
-                    );
-                    return;
-                }
-                match replication::promote(inner, epoch) {
-                    Ok(adopted) => {
-                        if !send(sock, &Frame::Promote { epoch: adopted }, ctx, metrics) {
-                            return;
-                        }
-                    }
-                    Err((code, message)) => {
-                        send_error(sock, code, &message, metrics);
-                        return;
-                    }
-                }
-            }
-            Frame::Goodbye => {
-                let _ = send(sock, &Frame::Goodbye, ctx, metrics);
-                return;
-            }
-            Frame::Error { .. } => return, // client gave up; nothing to reply
+            Frame::Promote { epoch } => match replication::promote(self, epoch) {
+                Ok(adopted) => conn.send(&Frame::Promote { epoch: adopted }),
+                Err((code, message)) => conn.fail(code, &message),
+            },
             Frame::Hello { .. }
             | Frame::HelloAck(_)
             | Frame::BatchAck { .. }
             | Frame::Answer { .. }
             | Frame::SnapshotReply { .. }
             | Frame::Throttle { .. }
+            | Frame::Error { .. }
+            | Frame::Goodbye
             | Frame::ResumeAck { .. }
             | Frame::InspectReply(_)
             | Frame::ShardMap(_)
-            | Frame::ShardQueryReply { .. } => {
-                send_error(
-                    sock,
-                    ErrorCode::Protocol,
-                    "unexpected frame for a client to send",
-                    metrics,
-                );
-                return;
-            }
+            | Frame::ShardQueryReply { .. } => conn.unexpected(),
         }
     }
 }
 
-/// Wire kind tags recorded in slow-query entries (the `Kind` enum is
-/// private to `stream-wire`; these mirror its documented grammar).
-const KIND_QUERY_JOIN: u8 = 5;
-const KIND_QUERY_SELF_JOIN: u8 = 6;
-const KIND_SNAPSHOT: u8 = 8;
-const KIND_SHARD_QUERY: u8 = 18;
+impl Inner {
+    /// The Snapshot phase of a read: runs `take` under its trace span.
+    /// A lost ingest worker is answered here and yields `None`.
+    fn snapshot_phase<S>(
+        &self,
+        conn: &mut Conn<'_>,
+        take: impl FnOnce(TraceTag) -> Result<S, IngestError>,
+    ) -> Option<S> {
+        let taken = {
+            let _snapshot = conn.span(Phase::Snapshot);
+            take(conn.tag())
+        };
+        if taken.is_err() {
+            let _ = conn.fail(ErrorCode::Internal, "ingest worker lost");
+        }
+        taken.ok()
+    }
 
-/// Folds one finished query's phase timing into the slow-query log when
-/// it crossed the configured threshold. `t0`→`t1` is snapshot
-/// acquisition, `t1`→`t2` estimation, `t2`→now encode + reply write.
-fn record_if_slow(
-    inner: &Inner,
-    ctx: Option<TraceContext>,
-    kind: u8,
-    t0: Instant,
-    t1: Instant,
-    t2: Instant,
-) {
-    let done = Instant::now();
-    let total = done.duration_since(t0);
-    if total < inner.config.slow_query {
-        return;
+    /// The Encode phase of a read: builds and writes the reply under
+    /// its trace span, then folds the request into the slow-query log
+    /// when it crossed the configured threshold. `t[0]`→`t[1]` is
+    /// snapshot acquisition, `t[1]`→`t[2]` estimation, `t[2]`→now encode
+    /// + reply write.
+    fn reply_phase(
+        &self,
+        conn: &mut Conn<'_>,
+        kind: u8,
+        t: [Instant; 3],
+        reply: impl FnOnce() -> Frame,
+    ) -> Flow {
+        let flow = {
+            let _encode = conn.span(Phase::Encode);
+            conn.send(&reply())
+        };
+        let [t0, t1, t2] = t;
+        let done = Instant::now();
+        let total = done.duration_since(t0);
+        if total >= self.config.slow_query {
+            if let Some(m) = self.metrics {
+                m.slow_queries.inc();
+            }
+            self.slow.record(SlowQueryEntry {
+                ts_ns: self.started.elapsed().as_nanos() as u64,
+                trace_id: conn.trace().map_or(0, |c| c.trace_id),
+                kind,
+                total_ns: total.as_nanos() as u64,
+                snapshot_ns: t1.duration_since(t0).as_nanos() as u64,
+                estimate_ns: t2.duration_since(t1).as_nanos() as u64,
+                encode_ns: done.duration_since(t2).as_nanos() as u64,
+            });
+        }
+        flow
     }
-    if let Some(m) = inner.metrics {
-        m.slow_queries.inc();
-    }
-    inner.slow.record(SlowQueryEntry {
-        ts_ns: inner.started.elapsed().as_nanos() as u64,
-        trace_id: ctx.map_or(0, |c| c.trace_id),
-        kind,
-        total_ns: total.as_nanos() as u64,
-        snapshot_ns: t1.duration_since(t0).as_nanos() as u64,
-        estimate_ns: t2.duration_since(t1).as_nanos() as u64,
-        encode_ns: done.duration_since(t2).as_nanos() as u64,
-    });
 }
 
 /// Assembles the INSPECT reply: each requested section is gathered
@@ -1673,19 +1210,7 @@ fn build_inspect_report(
         report.metrics_json = stream_telemetry::global().render_json_lines();
     }
     if sections & INSPECT_EVENTS != 0 {
-        report.events = ss_trace::recent_events(last_events as usize)
-            .iter()
-            .map(|e| stream_wire::WireSpanEvent {
-                ts_ns: e.ts_ns,
-                trace_id: e.trace_id,
-                span_id: e.span_id,
-                parent_id: e.parent_id,
-                phase: e.phase,
-                kind: e.kind,
-                thread: e.thread,
-                arg: e.arg,
-            })
-            .collect();
+        report.events = recent_wire_events(last_events);
     }
     if sections & INSPECT_SLOW != 0 {
         report.slow = inner.slow.snapshot(slow_limit as usize);

@@ -27,8 +27,8 @@
 //! neither feed nor poison the new primary.
 
 use crate::client::{ClientConfig, ServerClient};
+use crate::redial::{Attempt, Redial};
 use crate::{bump_dedup, Inner, Role, ServerConfig, ROLE_PRIMARY};
-use ss_retry::{Backoff, BackoffConfig};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -235,73 +235,68 @@ fn pause(repl: &ReplState, d: Duration) {
     std::thread::sleep(d);
 }
 
-/// The follower's poll loop: connect, long-poll from the local durable
-/// frontier, apply, repeat; reconnect with capped-jitter backoff.
+/// The follower's poll loop: long-poll from the local durable frontier,
+/// apply, repeat. Dialling and drop-on-error live in the [`Redial`]
+/// core; every failure pays one stop-aware pause of its backoff ladder.
 fn run(inner: &Inner) {
     let Some(repl) = inner.repl.as_ref() else {
         return;
     };
-    let mut backoff = Backoff::new(&BackoffConfig::default());
-    'reconnect: while !repl.stop.load(Ordering::Acquire) {
-        let mut client =
-            match ServerClient::connect_with(repl.primary.as_str(), poll_config(&inner.config)) {
-                Ok(c) => c,
-                Err(_) => {
-                    pause(repl, backoff.delay());
-                    continue 'reconnect;
-                }
-            };
-        backoff.reset();
-        while !repl.stop.load(Ordering::Acquire) {
-            let (segment, offset) = inner.wal_frontier();
-            let chunk = match client.replicate_poll(inner.epoch(), segment, offset) {
-                Ok(c) => c,
-                Err(_) => {
-                    pause(repl, backoff.delay());
-                    continue 'reconnect;
-                }
-            };
-            if chunk.epoch < inner.epoch() {
-                // A deposed primary is still answering. Drop the
-                // connection and retry: the operator (or router) will
-                // repoint or restart us against the new primary.
-                if let Some(m) = inner.metrics {
-                    m.replication_fenced.inc();
-                }
-                pause(repl, backoff.delay());
-                continue 'reconnect;
-            }
-            if chunk.epoch > inner.epoch() {
-                inner.epoch.store(chunk.epoch, Ordering::Release);
-            }
-            if chunk.snapshot {
-                // Our frontier fell behind the primary's prune horizon;
-                // live pools cannot adopt a snapshot, so park and ask
-                // for a restart (bind-time bootstrap handles it).
-                repl.bootstrap_required.store(true, Ordering::Release);
-                if let Some(m) = inner.metrics {
-                    m.replication_resyncs.inc();
-                }
-                return;
-            }
-            update_lag(inner, repl, chunk.frontier_segment, chunk.frontier_offset);
-            if chunk.bytes.is_empty() {
-                // Caught up: idle until the next poll tick.
-                pause(repl, inner.config.replication_poll);
-                continue;
-            }
-            if apply_chunk(inner, chunk.segment, chunk.offset, &chunk.bytes).is_err() {
-                // Positions self-correct: the next poll re-reads our
-                // actual durable frontier.
-                pause(repl, backoff.delay());
-                continue 'reconnect;
-            }
+    // Unbudgeted: each `attempt` is one poll, and the loop ends on
+    // `stop`, never by giving up on the primary.
+    let mut link = Redial::new(repl.primary.clone(), poll_config(&inner.config), 0);
+    while !repl.stop.load(Ordering::Acquire) {
+        let (segment, offset) = inner.wal_frontier();
+        let polled = link.attempt(|client| {
+            client
+                .replicate_poll(inner.epoch(), segment, offset)
+                .map_err(Attempt::Failed)
+        });
+        let Ok(chunk) = polled else {
+            pause(repl, link.backoff_delay());
+            continue;
+        };
+        if chunk.epoch < inner.epoch() {
+            // A deposed primary is still answering. Drop the
+            // connection and retry: the operator (or router) will
+            // repoint or restart us against the new primary.
             if let Some(m) = inner.metrics {
-                m.replication_chunks.inc();
+                m.replication_fenced.inc();
             }
-            update_lag(inner, repl, chunk.frontier_segment, chunk.frontier_offset);
+            link.disconnect();
+            pause(repl, link.backoff_delay());
+            continue;
         }
-        return;
+        if chunk.epoch > inner.epoch() {
+            inner.epoch.store(chunk.epoch, Ordering::Release);
+        }
+        if chunk.snapshot {
+            // Our frontier fell behind the primary's prune horizon;
+            // live pools cannot adopt a snapshot, so park and ask
+            // for a restart (bind-time bootstrap handles it).
+            repl.bootstrap_required.store(true, Ordering::Release);
+            if let Some(m) = inner.metrics {
+                m.replication_resyncs.inc();
+            }
+            return;
+        }
+        update_lag(inner, repl, chunk.frontier_segment, chunk.frontier_offset);
+        if chunk.bytes.is_empty() {
+            // Caught up: idle until the next poll tick.
+            pause(repl, inner.config.replication_poll);
+            continue;
+        }
+        if apply_chunk(inner, chunk.segment, chunk.offset, &chunk.bytes).is_err() {
+            // Positions self-correct: the next poll re-reads our
+            // actual durable frontier.
+            link.disconnect();
+            pause(repl, link.backoff_delay());
+            continue;
+        }
+        if let Some(m) = inner.metrics {
+            m.replication_chunks.inc();
+        }
+        update_lag(inner, repl, chunk.frontier_segment, chunk.frontier_offset);
     }
 }
 
@@ -459,38 +454,25 @@ pub(crate) fn serve_poll(
     let chunk = tailer
         .read_from(segment, offset)
         .map_err(|e| (ErrorCode::Internal, format!("replication tail failed: {e}")))?;
-    Ok(match chunk {
+    // A pruned position redirects to a snapshot bootstrap; an empty
+    // chunk at the asked position means caught up.
+    let (segment, offset, snapshot, bytes) = match chunk {
         TailChunk::Records {
             segment,
             offset,
             bytes,
-        } => Frame::Replicate {
-            epoch,
-            segment,
-            offset,
-            snapshot: false,
-            frontier_segment,
-            frontier_offset,
-            bytes,
-        },
-        TailChunk::Snapshot { snap_id, bytes } => Frame::Replicate {
-            epoch,
-            segment: snap_id,
-            offset: 0,
-            snapshot: true,
-            frontier_segment,
-            frontier_offset,
-            bytes,
-        },
-        TailChunk::CaughtUp => Frame::Replicate {
-            epoch,
-            segment,
-            offset,
-            snapshot: false,
-            frontier_segment,
-            frontier_offset,
-            bytes: Vec::new(),
-        },
+        } => (segment, offset, false, bytes),
+        TailChunk::Snapshot { snap_id, bytes } => (snap_id, 0, true, bytes),
+        TailChunk::CaughtUp => (segment, offset, false, Vec::new()),
+    };
+    Ok(Frame::Replicate {
+        epoch,
+        segment,
+        offset,
+        snapshot,
+        frontier_segment,
+        frontier_offset,
+        bytes,
     })
 }
 

@@ -9,7 +9,8 @@
 //!    so the server's idempotency table knows exactly which batches are
 //!    applied;
 //! 2. on any session failure it reconnects under capped exponential
-//!    backoff with deterministic jitter;
+//!    backoff with deterministic jitter (the shared [`Redial`] core,
+//!    one budget of consecutive failures per operation);
 //! 3. after each reconnect it sends RESUME, learns the last applied
 //!    sequence number per stream, and **replays from the first
 //!    unacknowledged batch** — a batch whose BATCH_ACK was lost in the
@@ -21,6 +22,7 @@
 //! plan may kill the connection mid-ACK, and the totals still match.
 
 use crate::client::{Backoff, BatchOutcome, ClientConfig, ClientError, JoinAnswer, SendReport};
+use crate::redial::{Attempt, Redial};
 use crate::ServerClient;
 use std::net::SocketAddr;
 use stream_model::update::Update;
@@ -29,12 +31,29 @@ use stream_wire::StreamId;
 /// A reconnecting, resuming, exactly-once wrapper over [`ServerClient`].
 #[derive(Debug)]
 pub struct ResilientClient {
-    addr: SocketAddr,
-    config: ClientConfig,
-    /// Consecutive reconnect attempts allowed before an operation gives
-    /// up with [`ClientError::Exhausted`].
-    max_reconnects: u32,
-    session: Option<ServerClient>,
+    /// The session core; its budget is the consecutive failed attempts
+    /// (dials and operations alike) one operation may spend before it
+    /// gives up with [`ClientError::Exhausted`].
+    link: Redial,
+    /// Pacing of THROTTLE retries (which never spend reconnect budget).
+    throttle: Backoff,
+}
+
+/// What one round trip of [`ResilientClient::send_all`] achieved.
+enum Step {
+    /// RESUME moved the server's frontier to this chunk index.
+    Frontier(usize),
+    /// The current chunk was acknowledged for this many updates.
+    Accepted(u64),
+    /// The current chunk bounced off a full ingest queue.
+    Throttled,
+}
+
+fn exhausted((attempts, last): (u32, ClientError)) -> ClientError {
+    ClientError::Exhausted {
+        attempts,
+        last: Box::new(last),
+    }
 }
 
 impl ResilientClient {
@@ -50,16 +69,15 @@ impl ResilientClient {
             "ResilientClient needs a nonzero client_id for idempotent replay"
         );
         ResilientClient {
-            addr,
-            config,
-            max_reconnects: 10,
-            session: None,
+            throttle: Backoff::new(&config.backoff),
+            link: Redial::new(addr.to_string(), config, 10),
         }
     }
 
-    /// Overrides the reconnect budget (default 10 consecutive attempts).
+    /// Overrides the reconnect budget (default 10): an operation gives
+    /// up after `attempts + 1` consecutive failed attempts.
     pub fn with_max_reconnects(mut self, attempts: u32) -> Self {
-        self.max_reconnects = attempts;
+        self.link = self.link.with_budget(attempts);
         self
     }
 
@@ -67,32 +85,8 @@ impl ResilientClient {
     /// none is open. Mostly useful for one-off requests the wrapper has
     /// no verb for.
     pub fn session(&mut self) -> Result<&mut ServerClient, ClientError> {
-        let mut last: Option<ClientError> = None;
-        if self.session.is_none() {
-            let mut backoff = Backoff::new(&self.config.backoff);
-            for _ in 0..=self.max_reconnects {
-                match ServerClient::connect_with(self.addr, self.config.clone()) {
-                    // RESUME inside the same attempt: a session that
-                    // cannot learn its replay point is useless.
-                    Ok(mut client) => match client.resume() {
-                        Ok(_) => {
-                            self.session = Some(client);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    },
-                    Err(e) => last = Some(e),
-                }
-                std::thread::sleep(backoff.delay());
-            }
-        }
-        match self.session.as_mut() {
-            Some(session) => Ok(session),
-            None => Err(ClientError::Exhausted {
-                attempts: self.max_reconnects + 1,
-                last: Box::new(last.unwrap_or(ClientError::Timeout)),
-            }),
-        }
+        self.link.run(|_| Ok(())).map_err(exhausted)?;
+        self.link.open().ok_or(ClientError::Timeout)
     }
 
     /// Streams `updates` in `chunk`-sized batches with exactly-once
@@ -113,66 +107,58 @@ impl ResilientClient {
         // reconnects because sequence numbers only advance on ACK.
         let base_seq = self.session()?.next_seq(stream);
         let mut idx = 0usize;
-        let mut failures = 0u32;
-        let mut backoff = Backoff::new(&self.config.backoff);
-        while idx < chunks.len() {
-            let session = self.session()?;
-            // After a resume the session's counter may have jumped past
-            // chunks whose ACK we never saw: the server applied them, so
-            // they are done — never re-sent.
-            let applied = session.next_seq(stream).saturating_sub(base_seq) as usize;
-            if applied > idx {
-                for done in chunks.iter().take(applied.min(chunks.len())).skip(idx) {
-                    report.batches += 1;
-                    report.updates += done.len() as u64;
+        self.throttle.reset();
+        while let Some(current) = chunks.get(idx) {
+            // One round trip under the reconnect budget. A failed send
+            // leaves the session dropped; the RESUME of the re-dial
+            // decides whether the chunk was actually applied.
+            let (step, _) = self
+                .link
+                .run(|session| {
+                    let applied = session.next_seq(stream).saturating_sub(base_seq) as usize;
+                    if applied != idx {
+                        return Ok(Step::Frontier(applied.min(chunks.len())));
+                    }
+                    match session.send_batch(stream, current) {
+                        Ok(BatchOutcome::Accepted(n)) => Ok(Step::Accepted(n)),
+                        Ok(BatchOutcome::Throttled { .. }) => Ok(Step::Throttled),
+                        Err(e) => Err(Attempt::Failed(e)),
+                    }
+                })
+                .map_err(exhausted)?;
+            match step {
+                // The frontier jumped past chunks whose ACK we never
+                // saw: the server applied them, so they are done —
+                // never re-sent.
+                Step::Frontier(applied) if applied > idx => {
+                    for done in chunks.iter().take(applied).skip(idx) {
+                        report.batches += 1;
+                        report.updates += done.len() as u64;
+                    }
+                    idx = applied;
                 }
-                idx = applied.min(chunks.len());
-                continue;
-            }
-            if applied < idx {
                 // The frontier regressed: a failover promoted a
                 // follower that was replicating asynchronously (its
                 // primary's gate had waived — the follower-loss double
                 // fault), so chunks we saw acked are missing over
                 // there. We still hold them — rewind and re-send; any
                 // shard that did apply them dedups the replay.
-                for lost in chunks.iter().take(idx).skip(applied) {
-                    report.batches = report.batches.saturating_sub(1);
-                    report.updates = report.updates.saturating_sub(lost.len() as u64);
+                Step::Frontier(applied) => {
+                    for lost in chunks.iter().take(idx).skip(applied) {
+                        report.batches = report.batches.saturating_sub(1);
+                        report.updates = report.updates.saturating_sub(lost.len() as u64);
+                    }
+                    idx = applied;
                 }
-                idx = applied;
-            }
-            // The loop condition keeps `idx` in bounds; `get` makes the
-            // exit typed rather than a panic if that ever changes.
-            let Some(current) = chunks.get(idx) else {
-                break;
-            };
-            match session.send_batch(stream, current) {
-                Ok(BatchOutcome::Accepted(n)) => {
+                Step::Accepted(n) => {
                     report.batches += 1;
                     report.updates += n;
                     idx += 1;
-                    failures = 0;
-                    backoff.reset();
+                    self.throttle.reset();
                 }
-                Ok(BatchOutcome::Throttled { .. }) => {
+                Step::Throttled => {
                     report.throttled += 1;
-                    std::thread::sleep(backoff.delay());
-                }
-                Err(e) => {
-                    // Session is suspect (I/O error, corruption, server
-                    // restart): drop it and reconnect. The resume on the
-                    // next loop iteration decides whether this chunk was
-                    // actually applied.
-                    self.session = None;
-                    failures += 1;
-                    if failures > self.max_reconnects {
-                        return Err(ClientError::Exhausted {
-                            attempts: failures,
-                            last: Box::new(e),
-                        });
-                    }
-                    std::thread::sleep(backoff.delay());
+                    std::thread::sleep(self.throttle.delay());
                 }
             }
         }
@@ -194,30 +180,15 @@ impl ResilientClient {
         &mut self,
         mut op: impl FnMut(&mut ServerClient) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
-        let mut failures = 0u32;
-        let mut backoff = Backoff::new(&self.config.backoff);
-        loop {
-            let session = self.session()?;
-            match op(session) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    self.session = None;
-                    failures += 1;
-                    if failures > self.max_reconnects {
-                        return Err(ClientError::Exhausted {
-                            attempts: failures,
-                            last: Box::new(e),
-                        });
-                    }
-                    std::thread::sleep(backoff.delay());
-                }
-            }
-        }
+        self.link
+            .run(|session| op(session).map_err(Attempt::Failed))
+            .map(|(v, _)| v)
+            .map_err(exhausted)
     }
 
     /// Clean close of the current session, if one is open.
     pub fn goodbye(mut self) -> Result<(), ClientError> {
-        match self.session.take() {
+        match self.link.take() {
             Some(session) => session.goodbye(),
             None => Ok(()),
         }

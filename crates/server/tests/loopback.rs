@@ -318,3 +318,54 @@ fn v2_session_refuses_v3_requests_client_side() {
     v2.goodbye().unwrap();
     server.shutdown().unwrap();
 }
+
+#[test]
+fn resilient_client_spends_one_budget_per_operation() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use stream_server::{BackoffConfig, ClientConfig, ResilientClient};
+
+    let config = ClientConfig {
+        client_id: 9,
+        read_timeout: Duration::from_millis(100),
+        backoff: BackoffConfig {
+            base: Duration::from_micros(100),
+            cap: Duration::from_millis(1),
+            seed: 1,
+        },
+        ..ClientConfig::default()
+    };
+    let exhausted_after = |result: Result<_, ClientError>| match result {
+        Err(ClientError::Exhausted { attempts, .. }) => attempts,
+        other => panic!("expected Exhausted, got {:?}", other.map(|_: ()| ())),
+    };
+
+    // A peer that accepts and hangs up: every attempt gets as far as
+    // HELLO and dies there. Dials and operations spend from one pot, so
+    // an operation costs exactly `max_reconnects + 1` connections — not
+    // that many re-dials for each of that many operation retries.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let flaky = listener.local_addr().unwrap();
+    let accepted = std::sync::Arc::new(AtomicU32::new(0));
+    let counter = accepted.clone();
+    std::thread::spawn(move || {
+        for sock in listener.incoming() {
+            // Counted before the hang-up the client is waiting on.
+            counter.fetch_add(1, Ordering::SeqCst);
+            drop(sock);
+        }
+    });
+    let mut client = ResilientClient::new(flaky, config.clone()).with_max_reconnects(3);
+    assert_eq!(exhausted_after(client.query_join().map(|_| ())), 4);
+    assert_eq!(accepted.load(Ordering::SeqCst), 4);
+    let sent = client.send_all(StreamId::F, &mixed_updates(10, 8, 1), 5);
+    assert_eq!(exhausted_after(sent.map(|_| ())), 4);
+    assert_eq!(accepted.load(Ordering::SeqCst), 8);
+
+    // A dead address: nothing listens there at all.
+    let dead = {
+        let gone = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        gone.local_addr().unwrap()
+    };
+    let mut client = ResilientClient::new(dead, config).with_max_reconnects(2);
+    assert_eq!(exhausted_after(client.query_join().map(|_| ())), 3);
+}

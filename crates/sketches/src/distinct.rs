@@ -73,8 +73,7 @@ impl DistinctSketch {
             self.mins.insert(h);
         }
         while self.mins.len() > self.k {
-            let max = *self.mins.iter().next_back().expect("nonempty");
-            self.mins.remove(&max);
+            self.mins.pop_last();
         }
     }
 

@@ -7,7 +7,7 @@
 //! `stream-model::trace` and the sketch codec in `stream-sketches`.
 
 use crate::crc::crc32;
-use crate::{WireError, HEADER_LEN, MAGIC, VERSION};
+use crate::{WireError, HEADER_LEN, MAGIC, MIN_PROTOCOL_VERSION, VERSION};
 use std::io::{self, Read, Write};
 use stream_model::update::Update;
 
@@ -951,6 +951,25 @@ fn write_frame_vectored<W: Write>(
 }
 
 impl Frame {
+    /// The frame's wire kind tag (the header byte after the version), for
+    /// logs and slow-query records.
+    pub fn kind_tag(&self) -> u8 {
+        self.kind() as u8
+    }
+
+    /// The lowest session protocol allowed to carry this frame: kinds from
+    /// SHARD_MAP (17) up are the protocol-3 cluster vocabulary, everything
+    /// below shipped with [`MIN_PROTOCOL_VERSION`]. Servers gate on this
+    /// once per frame; `ss-analyze`'s a7 derives the same split from the
+    /// `Kind` discriminants.
+    pub fn min_protocol(&self) -> u16 {
+        if self.kind_tag() >= Kind::ShardMap as u8 {
+            3
+        } else {
+            MIN_PROTOCOL_VERSION
+        }
+    }
+
     fn kind(&self) -> Kind {
         match self {
             Frame::Hello { .. } => Kind::Hello,
