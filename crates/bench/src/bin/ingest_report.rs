@@ -3,8 +3,10 @@
 //! Measures the element-at-a-time update path against the
 //! loop-interchanged `update_batch` kernels on the hash sketch, and the
 //! sharded [`stream_ingest::ingest_parallel`] pool at 1/2/4/8 workers,
-//! then writes the numbers to `BENCH_update.json` in the current
-//! directory so successive PRs can track the ingestion trajectory.
+//! then the read side's SKIMDENSE scan — the blocked extraction kernel
+//! against the per-value scalar definition it replaced — and writes the
+//! numbers to `BENCH_update.json` in the current directory so successive
+//! PRs can track the trajectory.
 //!
 //! Every configuration is cross-checked for bit-identical counters before
 //! its timing is recorded — a fast kernel that changes the sketch would
@@ -16,6 +18,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use skimmed_sketch::ThresholdPolicy;
+use std::hint::black_box;
 use std::time::Instant;
 use stream_model::gen::ZipfGenerator;
 use stream_model::update::StreamSink;
@@ -25,15 +29,20 @@ use stream_sketches::{HashSketch, HashSketchSchema};
 const N: usize = 400_000;
 const REPS: usize = 5;
 
-/// Best-of-`REPS` throughput in Melem/s for `f` ingesting `n` elements.
-fn best_melem_s(n: usize, mut f: impl FnMut()) -> f64 {
+/// Best-of-`reps` wall time of `f`, seconds.
+fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+    for _ in 0..reps {
         let t = Instant::now();
         f();
         best = best.min(t.elapsed().as_secs_f64());
     }
-    n as f64 / best / 1e6
+    best
+}
+
+/// Best-of-`REPS` throughput in Melem/s for `f` ingesting `n` elements.
+fn best_melem_s(n: usize, f: impl FnMut()) -> f64 {
+    n as f64 / best_secs(REPS, f) / 1e6
 }
 
 fn workload() -> Vec<Update> {
@@ -41,6 +50,59 @@ fn workload() -> Vec<Update> {
     let mut rng = StdRng::seed_from_u64(7);
     let z = ZipfGenerator::new(domain, 1.0, 0);
     (0..N).map(|_| Update::insert(z.sample(&mut rng))).collect()
+}
+
+/// Repetitions of the scan timings: a scan is half a millisecond, so many
+/// more than `REPS` fit in the time one ingest pass takes, and the minimum
+/// of few is noisy on a shared host.
+const SCAN_REPS: usize = 60;
+
+/// SKIMDENSE phase 1 over a 2^14 domain at the serving shape (7 × 256,
+/// Zipf 1.0, the default policy's threshold): the scalar definition —
+/// `point_estimate` per value — against `HashSketch::extract_dense`.
+/// Returns the `skim_scan` JSON object.
+fn skim_scan_report() -> String {
+    const DOMAIN_LOG2: u32 = 14;
+    let domain = Domain::with_log2(DOMAIN_LOG2);
+    let mut rng = StdRng::seed_from_u64(11);
+    let updates = ZipfGenerator::new(domain, 1.0, 0).generate(&mut rng, N);
+    let mut sk = HashSketch::new(HashSketchSchema::new(7, 256, 42));
+    sk.add_batch(&updates);
+    let threshold = ThresholdPolicy::default().threshold(&sk, N as u64);
+    let oracle = |sk: &HashSketch| ss_bench::scalar_scan(sk, domain.size(), threshold);
+    let kernel = |sk: &HashSketch| {
+        let [dense] = HashSketch::extract_dense([(sk, threshold)], 0..domain.size());
+        dense
+    };
+    let want = oracle(&sk);
+    assert!(!want.is_empty(), "the scan must extract something");
+    assert_eq!(
+        kernel(&sk),
+        want,
+        "extraction kernel must equal the scalar scan"
+    );
+    let scalar_us = 1e6
+        * best_secs(SCAN_REPS, || {
+            black_box(oracle(black_box(&sk)));
+        });
+    let kernel_us = 1e6
+        * best_secs(SCAN_REPS, || {
+            black_box(kernel(black_box(&sk)));
+        });
+    let speedup = scalar_us / kernel_us;
+    println!();
+    println!(
+        "SKIMDENSE scan (2^{DOMAIN_LOG2} values, 7 x 256, T = {threshold}, {} dense, best of {SCAN_REPS}):",
+        want.len()
+    );
+    println!("  scalar point_estimate per value {scalar_us:>10.1} us");
+    println!("  blocked extract_dense           {kernel_us:>10.1} us   {speedup:.2}x");
+    format!(
+        "{{\"domain_log2\": {DOMAIN_LOG2}, \"tables\": 7, \"buckets\": 256, \
+         \"threshold\": {threshold}, \"dense\": {}, \"scalar_us\": {scalar_us:.1}, \
+         \"kernel_us\": {kernel_us:.1}, \"speedup\": {speedup:.3}, \"bit_identical\": true}}",
+        want.len()
+    )
 }
 
 fn main() {
@@ -141,11 +203,15 @@ fn main() {
         println!("   rerun on a multi-core host to see the pool's speedup)");
     }
 
+    // --- the read side -----------------------------------------------------
+    let skim_scan = skim_scan_report();
+
     // --- emit ------------------------------------------------------------
     let json = format!(
         "{{\n  \"bench\": \"update\",\n  \"elements\": {N},\n  \"reps\": {REPS},\n  \
          \"host_cpus\": {host_cpus},\n  \"batched_hash_sketch\": [\n{}\n  ],\n  \
          \"parallel_hash_sketch_8192_words\": {{\"degenerate\": {degenerate}, \"rows\": [\n{}\n  ]}},\n  \
+         \"skim_scan\": {skim_scan},\n  \
          \"bit_identical\": true\n}}\n",
         batched_rows.join(",\n"),
         parallel_rows.join(",\n"),

@@ -63,8 +63,7 @@
 //! primary would have given at the same acknowledged prefix.
 
 use skimmed_sketch::{
-    decode_skimmed, encode_skimmed, estimate_join, estimate_self_join, EstimatorConfig,
-    SkimmedSketch,
+    decode_skimmed, encode_skimmed, estimate_self_join, EstimatorConfig, JoinMemo, SkimmedSketch,
 };
 use ss_retry::BackoffConfig;
 use ss_trace::Phase;
@@ -768,24 +767,37 @@ fn merged_stream(
     }
 }
 
-impl FrameHandler for Inner {
+/// What one handler thread owns.
+struct HandlerState {
     /// One session per shard, sequenced under a slot-unique identity
     /// (see the module docs' exactly-once story).
-    type State = Vec<ShardSession>;
+    sessions: Vec<ShardSession>,
+    /// The thread's last join estimate over merged shard state: a repeat
+    /// QUERY_JOIN whose shards all answer with unchanged sketches skips
+    /// the skim (the fetch and the merge still run — they are the key).
+    memo: JoinMemo,
+}
+
+impl FrameHandler for Inner {
+    type State = HandlerState;
 
     fn info(&self) -> ServerInfo {
         self.info
     }
 
-    fn thread_state(&self, slot: usize) -> Vec<ShardSession> {
-        make_sessions(self, slot)
+    fn thread_state(&self, slot: usize) -> HandlerState {
+        HandlerState {
+            sessions: make_sessions(self, slot),
+            memo: JoinMemo::new(),
+        }
     }
 
     /// What a router does with a request: split and fan out writes,
     /// fan out and merge reads. `conn.forward()` carries the router's
     /// Handler span to the shards so their spans join the same
     /// end-to-end trace.
-    fn handle(&self, sessions: &mut Vec<ShardSession>, frame: Frame, conn: &mut Conn<'_>) -> Flow {
+    fn handle(&self, state: &mut HandlerState, frame: Frame, conn: &mut Conn<'_>) -> Flow {
+        let HandlerState { sessions, memo } = state;
         let metrics = self.metrics;
         let fwd = conn.forward();
         match frame {
@@ -843,7 +855,7 @@ impl FrameHandler for Inner {
                     Ok((Some(f), Some(g))) => {
                         let est = {
                             let _estimate = conn.span(Phase::Estimate);
-                            estimate_join(&f, &g, &self.config.estimator)
+                            memo.estimate_join(f, g, &self.config.estimator)
                         };
                         conn.send(&join_answer(&est))
                     }

@@ -181,6 +181,66 @@ fn routed_answers_are_bit_identical_across_shard_counts() {
     }
 }
 
+#[test]
+fn routed_repeat_queries_hit_the_memo_and_stay_bit_identical() {
+    let _guard = serial();
+    let domain_log2 = 10;
+    let schema = SkimmedSchema::scanning(Domain::with_log2(domain_log2), 5, 64, 13);
+    let uf = mixed_updates(6_000, domain_log2, 0xF00D);
+    let ug = mixed_updates(6_000, domain_log2, 0xBEEF);
+    let more = mixed_updates(1_000, domain_log2, 0xCAFE);
+
+    // What a single node answers before and after `more` lands on F.
+    let single = Server::bind("127.0.0.1:0", shard_config(schema.clone())).unwrap();
+    let mut client = ServerClient::connect(single.local_addr()).unwrap();
+    client.send_all(StreamId::F, &uf, 1_000).unwrap();
+    client.send_all(StreamId::G, &ug, 1_000).unwrap();
+    let before = client.query_join().unwrap();
+    client.send_all(StreamId::F, &more, 1_000).unwrap();
+    let after = client.query_join().unwrap();
+    assert_ne!(before, after);
+    client.goodbye().unwrap();
+    single.shutdown().unwrap();
+
+    // Tests of this binary are serialized and shards answer SHARD_QUERY,
+    // not QUERY_JOIN, so between two reads only the router's memos move
+    // these counters.
+    let memo_count = |outcome: &str| {
+        stream_telemetry::global()
+            .counter_with("skim_memo_total", &[("outcome", outcome)])
+            .get()
+    };
+    let (shards, addrs) = start_shards(2, &schema);
+    let router = Router::bind("127.0.0.1:0", test_router_config(addrs)).unwrap();
+    let mut client = ServerClient::connect(router.local_addr()).unwrap();
+    client.send_all(StreamId::F, &uf, 1_000).unwrap();
+    client.send_all(StreamId::G, &ug, 1_000).unwrap();
+    let (hits, misses) = (memo_count("hit"), memo_count("miss"));
+    // The merge of unchanged shards is the same sketch: the repeats are
+    // remembered, and remembered answers are the single node's.
+    for _ in 0..3 {
+        assert_eq!(client.query_join().unwrap(), before);
+    }
+    if stream_telemetry::ENABLED {
+        assert_eq!(memo_count("miss") - misses, 1);
+        assert_eq!(memo_count("hit") - hits, 2);
+    }
+    // A batch through the router changes what the shards return.
+    client.send_all(StreamId::F, &more, 1_000).unwrap();
+    for _ in 0..2 {
+        assert_eq!(client.query_join().unwrap(), after);
+    }
+    if stream_telemetry::ENABLED {
+        assert_eq!(memo_count("miss") - misses, 2);
+        assert_eq!(memo_count("hit") - hits, 3);
+    }
+    client.goodbye().unwrap();
+    router.shutdown().unwrap();
+    for shard in shards {
+        shard.shutdown().unwrap();
+    }
+}
+
 // ---------------------------------------------------------------------
 // degraded mode: typed partial-answer error
 // ---------------------------------------------------------------------

@@ -8,14 +8,15 @@
 //! of the frequencies inside it. Since an interval containing a dense value
 //! is itself dense, extraction descends the binary hierarchy, expanding
 //! only intervals whose estimate clears the threshold — `O(#dense · log N)`
-//! point estimates instead of `O(N)`.
+//! point estimates instead of `O(N)`, each level's children going through
+//! the blocked extraction kernel as one key sequence.
 //!
 //! Level 0 of the structure *is* the ordinary hash sketch, and join
 //! estimation uses it alone; levels `≥ 1` exist purely to accelerate
 //! extraction.
 
 use crate::extracted::ExtractedDense;
-use crate::skim::skim_dense_candidates;
+use crate::skim::{extract, skim_dense_candidates};
 use std::sync::Arc;
 use stream_model::update::{StreamSink, Update};
 use stream_model::Domain;
@@ -221,24 +222,20 @@ impl DyadicHashSketch {
         // top-level interval.
         let mut frontier: Vec<u64> = vec![0];
         for level in (0..top).rev() {
-            let mut next: Vec<(u64, i64)> = Vec::with_capacity(frontier.len() * 2);
-            let sk = &self.sketches[level as usize];
             let cut = if level == 0 {
                 threshold
             } else {
                 interior_threshold
             };
-            for &idx in &frontier {
-                let (c0, c1) = self.schema.domain.children(idx);
-                for child in [c0, c1] {
-                    let est = sk.point_estimate(child);
-                    if est.abs() >= cut {
-                        next.push((child, est));
-                    }
-                }
-            }
+            // One kernel pass over the level's children, in frontier order.
+            let domain = self.schema.domain;
+            let children = frontier.iter().flat_map(|&idx| {
+                let (c0, c1) = domain.children(idx);
+                [c0, c1]
+            });
+            let [mut next] = extract([(self.level(level), cut)], children);
             if next.len() > max_candidates {
-                next.sort_unstable_by_key(|&(_, e)| std::cmp::Reverse(e.abs()));
+                next.sort_unstable_by_key(|&(_, e)| std::cmp::Reverse(e.unsigned_abs()));
                 next.truncate(max_candidates);
             }
             frontier = next.into_iter().map(|(i, _)| i).collect();
@@ -252,7 +249,7 @@ impl DyadicHashSketch {
         // too, so later skims (or continued streaming) see residuals only.
         for (v, est) in dense.iter() {
             for (level, sk) in self.sketches.iter_mut().enumerate().skip(1) {
-                sk.add_weighted(v >> level, -est);
+                sk.add_weighted(v >> level, est.wrapping_neg());
             }
         }
         dense
@@ -267,6 +264,13 @@ impl StreamSink for DyadicHashSketch {
 
     fn update_batch(&mut self, batch: &[Update]) {
         self.add_batch(batch);
+    }
+}
+
+/// Same schema parameters and the same counters at every level.
+impl PartialEq for DyadicHashSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.compatible(other) && self.sketches == other.sketches
     }
 }
 

@@ -16,6 +16,16 @@
 //!      median over tables.
 //! 3. Sum the four sub-join estimates.
 //!
+//! Skimming is destructive and estimation must not be, so
+//! [`estimate_join`] works on clones. A caller that owns its sketches —
+//! the serving layer, whose snapshots are already copies — goes through
+//! [`crate::JoinMemo`] instead: it skims in place, adds the extracted
+//! vectors back (exact, by linearity in the counter ring), and answers a
+//! repeated question about unchanged sketches from memory. When both
+//! sketches scan the domain they share **one** pass of the extraction
+//! kernel: they have the same hash functions, so each key's buckets and
+//! signs are evaluated once and probed in both.
+//!
 //! Because every residual frequency is below the threshold `T ≈ n/√b`
 //! after skimming, the sub-join error terms are `O(n²/ b^{...})` — giving
 //! the estimator its `O(√(SJ·SJ)/ε... )` ≈ square-root space advantage over
@@ -23,7 +33,7 @@
 
 use crate::dyadic::{DyadicHashSketch, DyadicSchema};
 use crate::extracted::ExtractedDense;
-use crate::skim::skim_dense_scan;
+use crate::skim::{skim_dense, skim_dense_scan};
 use crate::threshold::ThresholdPolicy;
 use std::sync::Arc;
 use stream_model::metrics::median_f64;
@@ -267,6 +277,32 @@ impl SkimmedSketch {
             _ => unreachable!(),
         }
     }
+
+    /// Adds `dense` back into every level: the inverse of the
+    /// [`SkimmedSketch::skim`] that returned it, exact because counters
+    /// live in the two's-complement ring. The tracked L1 mass, which
+    /// skimming does not touch, is not touched here either.
+    pub(crate) fn unskim(&mut self, dense: &ExtractedDense) {
+        for (v, est) in dense.iter() {
+            if let Some(s) = &mut self.scan {
+                s.add_weighted(v, est);
+            }
+            if let Some(d) = &mut self.dyadic {
+                d.add_weighted(v, est);
+            }
+        }
+    }
+}
+
+/// Same schema parameters, same counters at every level, same tracked L1
+/// mass: everything an estimate is computed from.
+impl PartialEq for SkimmedSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.compatible(other)
+            && self.l1_mass == other.l1_mass
+            && self.scan == other.scan
+            && self.dyadic == other.dyadic
+    }
 }
 
 impl StreamSink for SkimmedSketch {
@@ -396,6 +432,18 @@ pub fn est_subjoin_in_table(dense: &ExtractedDense, skimmed: &HashSketch, table:
 /// # Panics
 /// If the sketches were built under different schemas.
 pub fn estimate_join(f: &SkimmedSketch, g: &SkimmedSketch, cfg: &EstimatorConfig) -> JoinEstimate {
+    let (mut f, mut g) = (f.clone(), g.clone());
+    estimate_skimming(&mut f, &mut g, cfg).0
+}
+
+/// ESTSKIMJOINSIZE on sketches the caller owns: skims `f` and `g` **in
+/// place** and returns the estimate together with the two extracted dense
+/// vectors, which [`SkimmedSketch::unskim`] puts back.
+pub(crate) fn estimate_skimming(
+    f: &mut SkimmedSketch,
+    g: &mut SkimmedSketch,
+    cfg: &EstimatorConfig,
+) -> (JoinEstimate, [ExtractedDense; 2]) {
     assert!(
         f.compatible(g),
         "join estimation requires sketches under the same schema"
@@ -403,18 +451,27 @@ pub fn estimate_join(f: &SkimmedSketch, g: &SkimmedSketch, cfg: &EstimatorConfig
     // Telemetry handles (None when compiled out; every span below is a
     // no-op then and the gauge updates fold away).
     let telem = stream_telemetry::ENABLED.then(crate::telem::skim_metrics);
-    let mut f = f.clone();
-    let mut g = g.clone();
     // Step 1: skim both sketches.
     let tf = cfg.policy.threshold(f.base(), f.l1_mass);
     let tg = cfg.policy.threshold(g.base(), g.l1_mass);
-    let dense_f = {
-        let _span = telem.map(|m| m.skim_f.start_span());
-        f.skim(tf, cfg.max_candidates)
-    };
-    let dense_g = {
-        let _span = telem.map(|m| m.skim_g.start_span());
-        g.skim(tg, cfg.max_candidates)
+    let domain = f.schema.domain;
+    let [dense_f, dense_g] = match (&mut f.scan, &mut g.scan) {
+        // Two scanning sketches share one pass over the domain; its
+        // interval is recorded under both phase labels.
+        (Some(sf), Some(sg)) => {
+            let _spans = telem.map(|m| (m.skim_f.start_span(), m.skim_g.start_span()));
+            skim_dense([(sf, tf), (sg, tg)], 0..domain.size())
+        }
+        _ => [
+            {
+                let _span = telem.map(|m| m.skim_f.start_span());
+                f.skim(tf, cfg.max_candidates)
+            },
+            {
+                let _span = telem.map(|m| m.skim_g.start_span());
+                g.skim(tg, cfg.max_candidates)
+            },
+        ],
     };
     // Step 2: the four sub-joins.
     let dd = {
@@ -435,10 +492,10 @@ pub fn estimate_join(f: &SkimmedSketch, g: &SkimmedSketch, cfg: &EstimatorConfig
     };
     if let Some(m) = telem {
         m.estimates.inc();
-        // ss-analyze: allow(a5-numeric-narrowing) -- dense-value counts are bounded by the skim threshold, far below i64::MAX
-        m.dense_f.set(dense_f.len() as i64);
-        // ss-analyze: allow(a5-numeric-narrowing) -- same bound as `dense_f`
-        m.dense_g.set(dense_g.len() as i64);
+        m.dense_f
+            .set(i64::try_from(dense_f.len()).unwrap_or(i64::MAX));
+        m.dense_g
+            .set(i64::try_from(dense_g.len()).unwrap_or(i64::MAX));
         // Residual L2 norm of the *skimmed* sketches — how much sparse
         // mass the sub-join estimators had to contend with (Thm 3's
         // error scales with it).
@@ -447,7 +504,7 @@ pub fn estimate_join(f: &SkimmedSketch, g: &SkimmedSketch, cfg: &EstimatorConfig
         m.residual_g
             .set(g.base().self_join_estimate().max(0.0).sqrt());
     }
-    JoinEstimate {
+    let answer = JoinEstimate {
         estimate: dd + ds + sd + ss,
         dense_dense: dd,
         dense_sparse: ds,
@@ -457,7 +514,8 @@ pub fn estimate_join(f: &SkimmedSketch, g: &SkimmedSketch, cfg: &EstimatorConfig
         dense_g: dense_g.len(),
         threshold_f: tf,
         threshold_g: tg,
-    }
+    };
+    (answer, [dense_f, dense_g])
 }
 
 /// Skimmed self-join (second-moment) estimation:

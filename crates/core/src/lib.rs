@@ -12,7 +12,8 @@
 //!   SKIMDENSE, which pulls every frequency ≥ `T ≈ n/√b` out of the sketch
 //!   and leaves a residual-only skimmed sketch;
 //! * [`estimate_join`] — ESTSKIMJOINSIZE, summing an exact dense⋈dense
-//!   term with three median-boosted sub-join estimates;
+//!   term with three median-boosted sub-join estimates ([`JoinMemo`] is the
+//!   same function for a caller that owns its sketches and asks repeatedly);
 //! * [`ThresholdPolicy`] — worst-case and adaptive dense thresholds;
 //! * [`analysis`] — the exact error-budget arithmetic of §3.
 //!
@@ -45,6 +46,7 @@ pub mod confidence;
 pub mod dyadic;
 pub mod estimator;
 pub mod extracted;
+pub mod memo;
 pub mod planner;
 pub mod skim;
 pub(crate) mod telem;
@@ -60,6 +62,7 @@ pub use estimator::{
     ExtractionStrategy, JoinEstimate, SkimmedSchema, SkimmedSketch,
 };
 pub use extracted::ExtractedDense;
+pub use memo::JoinMemo;
 pub use planner::{plan, Plan, PlannerInput};
 pub use threshold::ThresholdPolicy;
 pub use windowed::{estimate_windowed_join, WindowedSkimmedSketch};

@@ -9,33 +9,66 @@
 //! hold w.h.p. and are property-tested in this module and in
 //! `tests/skim_properties.rs`.
 //!
-//! The naive scan here costs `O(|domain| · s1)`; the dyadic variant in
-//! [`crate::dyadic`] brings that down to `O(poly · log |domain|)`.
+//! Every extraction in this crate — the full-domain scan, an explicit
+//! candidate list, each level of the dyadic descent in [`crate::dyadic`] —
+//! is a key sequence fed to the one blocked kernel
+//! [`HashSketch::extract_dense`], which evaluates bucket and sign hashes
+//! 256 keys at a time and computes a median only for the keys that clear
+//! the threshold. The scan still costs `O(|domain| · s1)` hash
+//! evaluations; the dyadic variant brings that down to
+//! `O(poly · log |domain|)` at `log |domain|` times the update cost.
 
 use crate::extracted::ExtractedDense;
 use stream_model::Domain;
 use stream_sketches::HashSketch;
 
-/// Runs naive SKIMDENSE over `sketch`: scans every value of `domain`,
-/// extracts those with `|estimate| ≥ threshold`, subtracts them from the
-/// sketch in place, and returns the extracted dense vector.
-pub fn skim_dense_scan(sketch: &mut HashSketch, domain: Domain, threshold: i64) -> ExtractedDense {
-    assert!(threshold >= 1, "threshold must be at least 1");
-    // Phase 1 (paper steps 3–7): estimate every value from the *unskimmed*
-    // sketch. Estimating before any subtraction matters: subtracting while
-    // scanning would make later estimates depend on scan order.
-    let mut entries: Vec<(u64, i64)> = Vec::new();
-    for v in 0..domain.size() {
-        let est = sketch.point_estimate(v);
-        if est.abs() >= threshold {
-            entries.push((v, est));
+/// SKIMDENSE phase 1 (paper steps 3–7) through the blocked kernel, counted:
+/// per `(sketch, T)`, the keys whose estimate is `≥ T` or `≤ −T`, with
+/// their estimates, in key order.
+pub(crate) fn extract<const N: usize>(
+    sketches: [(&HashSketch, i64); N],
+    keys: impl IntoIterator<Item = u64>,
+) -> [Vec<(u64, i64)>; N] {
+    let Some(metrics) = stream_telemetry::ENABLED.then(crate::telem::skim_metrics) else {
+        return HashSketch::extract_dense(sketches, keys);
+    };
+    let mut scanned = 0usize;
+    let found = HashSketch::extract_dense(sketches, keys.into_iter().inspect(|_| scanned += 1));
+    metrics.note_scan(scanned * N, found.iter().map(Vec::len).sum());
+    found
+}
+
+/// SKIMDENSE over the key sequence `keys`, for each `(sketch, T)` of
+/// `sketches` (one, or several under one schema — the hashes of a key are
+/// then evaluated once and probed in every sketch): extracts the keys with
+/// `|estimate| ≥ T`, subtracts them from the sketch in place, and returns
+/// the extracted dense vectors. `keys` must not repeat a value.
+pub(crate) fn skim_dense<const N: usize>(
+    mut sketches: [(&mut HashSketch, i64); N],
+    keys: impl IntoIterator<Item = u64>,
+) -> [ExtractedDense; N] {
+    // Phase 1: estimate every key from the *unskimmed* sketch. Estimating
+    // before any subtraction matters: subtracting while scanning would make
+    // later estimates depend on scan order.
+    let found = extract(
+        std::array::from_fn(|k| (&*sketches[k].0, sketches[k].1)),
+        keys,
+    );
+    // Phase 2 (paper steps 8–9): skim the extracted estimates out.
+    for ((sketch, _), entries) in sketches.iter_mut().zip(&found) {
+        for &(v, est) in entries {
+            sketch.add_weighted(v, est.wrapping_neg());
         }
     }
-    // Phase 2 (paper steps 8–9): skim the extracted estimates out.
-    for &(v, est) in &entries {
-        sketch.add_weighted(v, -est);
-    }
-    ExtractedDense::from_entries(entries)
+    found.map(ExtractedDense::from_entries)
+}
+
+/// Runs SKIMDENSE over the whole of `domain`: extracts every value with
+/// `|estimate| ≥ threshold`, subtracts them from the sketch in place, and
+/// returns the extracted dense vector.
+pub fn skim_dense_scan(sketch: &mut HashSketch, domain: Domain, threshold: i64) -> ExtractedDense {
+    let [dense] = skim_dense([(sketch, threshold)], 0..domain.size());
+    dense
 }
 
 /// Like [`skim_dense_scan`] but restricted to an explicit candidate list
@@ -46,18 +79,8 @@ pub fn skim_dense_candidates(
     candidates: &[u64],
     threshold: i64,
 ) -> ExtractedDense {
-    assert!(threshold >= 1, "threshold must be at least 1");
-    let mut entries: Vec<(u64, i64)> = Vec::new();
-    for &v in candidates {
-        let est = sketch.point_estimate(v);
-        if est.abs() >= threshold {
-            entries.push((v, est));
-        }
-    }
-    for &(v, est) in &entries {
-        sketch.add_weighted(v, -est);
-    }
-    ExtractedDense::from_entries(entries)
+    let [dense] = skim_dense([(sketch, threshold)], candidates.iter().copied());
+    dense
 }
 
 #[cfg(test)]

@@ -33,8 +33,29 @@ pub(crate) struct SkimMetrics {
     pub residual_f: Arc<FloatGauge>,
     /// Residual L2 norm of the skimmed `G` sketch.
     pub residual_g: Arc<FloatGauge>,
-    /// ESTSKIMJOINSIZE invocations.
+    /// ESTSKIMJOINSIZE answers, recomputed or served from a
+    /// [`crate::JoinMemo`].
     pub estimates: Arc<Counter>,
+    /// Join-memo lookups answered from the stored estimate.
+    pub memo_hit: Arc<Counter>,
+    /// Join-memo lookups that had to estimate.
+    pub memo_miss: Arc<Counter>,
+    /// `(key, sketch)` probes the extraction kernel evaluated.
+    pub scan_keys: Arc<Counter>,
+    /// Probes that passed the table-count prefilter and needed the exact
+    /// median. `scan_keys` over this is how much work the prefilter saves
+    /// on the current stream.
+    pub median_fallbacks: Arc<Counter>,
+}
+
+impl SkimMetrics {
+    /// Counts one extraction pass: `keys` probes, `fallbacks` of which
+    /// went on to the scalar median.
+    pub fn note_scan(&self, keys: usize, fallbacks: usize) {
+        self.scan_keys.add(u64::try_from(keys).unwrap_or(u64::MAX));
+        self.median_fallbacks
+            .add(u64::try_from(fallbacks).unwrap_or(u64::MAX));
+    }
 }
 
 /// The lazily-registered process-wide [`SkimMetrics`].
@@ -55,6 +76,10 @@ pub(crate) fn skim_metrics() -> &'static SkimMetrics {
             residual_f: r.float_gauge_with("skim_residual_l2", &[("side", "f")]),
             residual_g: r.float_gauge_with("skim_residual_l2", &[("side", "g")]),
             estimates: r.counter("skim_estimates_total"),
+            memo_hit: r.counter_with("skim_memo_total", &[("outcome", "hit")]),
+            memo_miss: r.counter_with("skim_memo_total", &[("outcome", "miss")]),
+            scan_keys: r.counter("skim_scan_keys_total"),
+            median_fallbacks: r.counter("skim_median_fallbacks_total"),
         }
     })
 }

@@ -118,8 +118,8 @@ use bytes::Bytes;
 use conn::{Conn, Flow, FrameHandler, Service, ServiceConfig};
 use inspect::{Audit, SlowLog};
 use skimmed_sketch::{
-    decode_skimmed, encode_skimmed, estimate_join, estimate_self_join, EstimatorConfig,
-    ExtractionStrategy, SkimmedSchema, SkimmedSketch,
+    decode_skimmed, encode_skimmed, estimate_self_join, EstimatorConfig, ExtractionStrategy,
+    JoinMemo, SkimmedSchema, SkimmedSketch,
 };
 use ss_trace::Phase;
 use std::collections::HashMap;
@@ -913,7 +913,11 @@ fn maybe_checkpoint(inner: &Inner, persist: &mut Persist) {
 }
 
 impl FrameHandler for Inner {
-    type State = ();
+    /// The handler thread's last join estimate (see
+    /// [`skimmed_sketch::JoinMemo`]): repeated QUERY_JOINs over unchanged
+    /// sketches are answered from it. Per thread, so the read path takes
+    /// no lock for it.
+    type State = JoinMemo;
 
     fn info(&self) -> ServerInfo {
         let schema = &self.config.schema;
@@ -929,13 +933,15 @@ impl FrameHandler for Inner {
         }
     }
 
-    fn thread_state(&self, _slot: usize) {}
+    fn thread_state(&self, _slot: usize) -> JoinMemo {
+        JoinMemo::new()
+    }
 
     /// What a node does with a request: dedup → dispatch → WAL → ack
     /// for writes, snapshot → estimate → encode for reads, and the
     /// replication verbs. The session's protocol already admits `frame`
     /// (see [`conn`]), so the v3 arms need no gate of their own.
-    fn handle(&self, _state: &mut (), frame: Frame, conn: &mut Conn<'_>) -> Flow {
+    fn handle(&self, memo: &mut JoinMemo, frame: Frame, conn: &mut Conn<'_>) -> Flow {
         let metrics = self.metrics;
         let kind = frame.kind_tag();
         match frame {
@@ -979,7 +985,7 @@ impl FrameHandler for Inner {
                 let t1 = Instant::now();
                 let est = {
                     let _estimate = conn.span(Phase::Estimate);
-                    estimate_join(&f, &g, &self.config.estimator)
+                    memo.estimate_join(f, g, &self.config.estimator)
                 };
                 self.reply_phase(conn, kind, [t0, t1, Instant::now()], || join_answer(&est))
             }

@@ -369,3 +369,104 @@ fn resilient_client_spends_one_budget_per_operation() {
     let mut client = ResilientClient::new(dead, config).with_max_reconnects(2);
     assert_eq!(exhausted_after(client.query_join().map(|_| ())), 3);
 }
+
+#[test]
+fn repeat_join_queries_hit_the_memo_and_follow_every_change() {
+    use stream_durability::WalConfig;
+
+    // Every field the wire carries, against the in-process estimate.
+    fn assert_same(answer: stream_server::JoinAnswer, f: &SkimmedSketch, g: &SkimmedSketch) {
+        let want = estimate_join(f, g, &EstimatorConfig::default());
+        assert_eq!(answer.estimate, want.estimate);
+        assert_eq!(answer.dense_dense, want.dense_dense);
+        assert_eq!(answer.dense_sparse, want.dense_sparse);
+        assert_eq!(answer.sparse_dense, want.sparse_dense);
+        assert_eq!(answer.sparse_sparse, want.sparse_sparse);
+        assert_eq!(answer.dense_f, want.dense_f as u64);
+        assert_eq!(answer.dense_g, want.dense_g as u64);
+    }
+    // The process-wide memo counters: other tests of this binary move
+    // them too, so they bound from below only.
+    let memo_count = |outcome: &str| {
+        stream_telemetry::global()
+            .counter_with("skim_memo_total", &[("outcome", outcome)])
+            .get()
+    };
+
+    let domain_log2 = 10;
+    let schema = SkimmedSchema::scanning(Domain::with_log2(domain_log2), 5, 64, 11);
+    let dirs = ["memo-p", "memo-f"].map(|tag| {
+        let dir = std::env::temp_dir().join(format!("ss-loopback-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    });
+    let node = |dir: &std::path::PathBuf, follower_of: Option<String>| {
+        let mut config = ServerConfig::new(schema.clone());
+        config.handler_threads = 2;
+        config.read_timeout = Duration::from_millis(50);
+        config.replication_poll = Duration::from_millis(5);
+        config.wal = Some(WalConfig::new(dir));
+        config.follower_of = follower_of;
+        Server::bind("127.0.0.1:0", config).unwrap()
+    };
+    let primary = node(&dirs[0], None);
+    let follower = node(&dirs[1], Some(primary.local_addr().to_string()));
+
+    let uf = mixed_updates(6_000, domain_log2, 0xF00D);
+    let ug = mixed_updates(6_000, domain_log2, 0xBEEF);
+    let mut local_f = SkimmedSketch::new(schema.clone());
+    let mut local_g = SkimmedSketch::new(schema.clone());
+    local_f.add_batch(&uf);
+    local_g.add_batch(&ug);
+
+    // One session is one handler thread, hence one memo.
+    let mut client = ServerClient::connect(primary.local_addr()).unwrap();
+    client.send_all(StreamId::F, &uf, 1_000).unwrap();
+    client.send_all(StreamId::G, &ug, 1_000).unwrap();
+    let (hits, misses) = (memo_count("hit"), memo_count("miss"));
+    let first = client.query_join().unwrap();
+    assert_same(first, &local_f, &local_g);
+    let second = client.query_join().unwrap();
+    assert_eq!(second, first, "a remembered answer is the computed one");
+    if stream_telemetry::ENABLED {
+        assert!(memo_count("miss") > misses, "the first query estimates");
+        assert!(memo_count("hit") > hits, "the second is remembered");
+    }
+
+    // The follower gets its state by replication, never through a path
+    // that could tell a memo anything: its repeat answers follow too.
+    let mut reader = ServerClient::connect(follower.local_addr()).unwrap();
+    let replicated = |reader: &mut ServerClient, want: stream_server::JoinAnswer| {
+        (0..500).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            reader.query_join().unwrap() == want
+        })
+    };
+    assert!(replicated(&mut reader, first), "follower never caught up");
+    assert_eq!(reader.query_join().unwrap(), first);
+
+    // One more batch: the next answer on the same sessions is the new
+    // state's, on the primary and — once replicated — on the follower.
+    let more = mixed_updates(1_000, domain_log2, 0xCAFE);
+    local_f.add_batch(&more);
+    let misses = memo_count("miss");
+    client.send_all(StreamId::F, &more, 1_000).unwrap();
+    let third = client.query_join().unwrap();
+    assert_same(third, &local_f, &local_g);
+    assert_ne!(third, first);
+    if stream_telemetry::ENABLED {
+        assert!(memo_count("miss") > misses, "changed state is re-estimated");
+    }
+    assert!(
+        replicated(&mut reader, third),
+        "follower kept a stale answer"
+    );
+
+    client.goodbye().unwrap();
+    reader.goodbye().unwrap();
+    follower.shutdown().unwrap();
+    primary.shutdown().unwrap();
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

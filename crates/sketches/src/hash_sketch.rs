@@ -164,12 +164,18 @@ impl HashSketch {
     }
 
     /// Adds `w` copies of `v` — one counter per table.
+    ///
+    /// Counter arithmetic lives in the two's-complement ring (wrapping
+    /// multiply and add, as [`HashSketch::add_batch`]'s signed weights
+    /// already do): that is what keeps merge, skim and un-skim exactly
+    /// linear at `i64::MIN`/`i64::MAX`, and makes debug and release builds
+    /// agree there.
     #[inline]
     pub fn add_weighted(&mut self, v: u64, w: i64) {
         let b = self.schema.buckets;
         for i in 0..self.schema.tables {
-            let q = self.schema.bucket(i, v);
-            self.counters[i * b + q] += w * self.schema.sign(i, v);
+            let c = &mut self.counters[i * b + self.schema.bucket(i, v)];
+            *c = c.wrapping_add(w.wrapping_mul(self.schema.sign(i, v)));
         }
     }
 
@@ -249,11 +255,13 @@ impl HashSketch {
                     // already produced in-range buckets, so this is a no-op.
                     let m = b - 1;
                     for j in 0..n {
-                        row[buckets[j] & m] += signed[j];
+                        let c = &mut row[buckets[j] & m];
+                        *c = c.wrapping_add(signed[j]);
                     }
                 } else {
                     for j in 0..n {
-                        row[buckets[j]] += signed[j];
+                        let c = &mut row[buckets[j]];
+                        *c = c.wrapping_add(signed[j]);
                     }
                 }
             }
@@ -297,7 +305,8 @@ impl HashSketch {
                 );
                 let row = &mut self.counters[i * b..(i + 1) * b];
                 for j in 0..n {
-                    row[buckets[j]] += weights[j] * signs[j];
+                    let c = &mut row[buckets[j]];
+                    *c = c.wrapping_add(weights[j].wrapping_mul(signs[j]));
                 }
             }
         }
@@ -306,12 +315,11 @@ impl HashSketch {
     /// CountSketch point estimate of `f(v)`: median over tables of
     /// `ξ_i(v)·C[i][h_i(v)]`.
     ///
-    /// Allocation-free for schemas with at most 64 tables: SKIMDENSE calls
-    /// this once per candidate value, so the median scratch lives on the
-    /// stack rather than hitting the allocator on every probe.
+    /// The single-value API, and the definition [`HashSketch::extract_dense`]
+    /// is tested against. Allocation-free for schemas with at most 64
+    /// tables: the median scratch lives on the stack.
     pub fn point_estimate(&self, v: u64) -> i64 {
         let t = self.schema.tables;
-        let b = self.schema.buckets;
         let mut stack = [0i64; MAX_STACK_TABLES];
         let mut heap: Vec<i64>;
         let ests: &mut [i64] = if t <= MAX_STACK_TABLES {
@@ -321,7 +329,7 @@ impl HashSketch {
             &mut heap
         };
         for (i, e) in ests.iter_mut().enumerate() {
-            *e = self.schema.sign(i, v) * self.counters[i * b + self.schema.bucket(i, v)];
+            *e = self.point_estimate_in_table(i, v);
         }
         median_i64(ests)
     }
@@ -331,7 +339,124 @@ impl HashSketch {
     #[inline]
     pub fn point_estimate_in_table(&self, i: usize, v: u64) -> i64 {
         let b = self.schema.buckets;
-        self.schema.sign(i, v) * self.counters[i * b + self.schema.bucket(i, v)]
+        // Wrapping: `-1 · i64::MIN` is `i64::MIN` in the counter ring.
+        self.schema
+            .sign(i, v)
+            .wrapping_mul(self.counters[i * b + self.schema.bucket(i, v)])
+    }
+
+    /// SKIMDENSE phase 1 as one blocked pass: for each `(sketch, T)` of
+    /// `sketches` (all under one schema), every key of `keys` whose
+    /// [`HashSketch::point_estimate`] is `≥ T` or `≤ −T`, with that
+    /// estimate, in key order (a repeated key is reported once per
+    /// occurrence).
+    ///
+    /// Keys go through in 256-key chunks on the write side's
+    /// machinery: [`lanes::power_limbs`] once per key, then per table one
+    /// [`PairwiseHash::bucket_block`] and one
+    /// [`SignFamily::signed_weight_block`] — over unit weights, so it
+    /// yields the bare signs — shared by every sketch of the list. Per
+    /// sketch the table row is gathered through the buckets into a scratch
+    /// lane, and a flat lane loop turns it into `ξ_i(v)·C[i][h_i(v)]` and
+    /// keeps only two counts per key: in how many tables that read is
+    /// `≥ T`, and in how many `≤ −T`. [`median_i64`] is the element at
+    /// sorted index `t/2`, so "`≥ T` in at least `t − t/2` tables, or
+    /// `≤ −T` in at least `t/2 + 1`" *is* `median ≥ T or median ≤ −T` — an
+    /// exact prefilter, with no `abs` to wrap at `i64::MIN` — and the
+    /// median itself is computed, by the scalar `point_estimate`, only for
+    /// the keys that pass.
+    ///
+    /// # Panics
+    /// If a threshold is below 1 or the sketches do not share a schema.
+    pub fn extract_dense<const N: usize>(
+        sketches: [(&HashSketch, i64); N],
+        keys: impl IntoIterator<Item = u64>,
+    ) -> [Vec<(u64, i64)>; N] {
+        let mut dense: [Vec<(u64, i64)>; N] = std::array::from_fn(|_| Vec::new());
+        let Some(&(lead, _)) = sketches.first() else {
+            return dense;
+        };
+        for &(sk, threshold) in &sketches {
+            assert!(threshold >= 1, "threshold must be at least 1");
+            assert!(
+                lead.compatible(sk),
+                "one extraction pass requires sketches under the same schema"
+            );
+        }
+        let schema = &*lead.schema;
+        let t = schema.tables;
+        let (need_high, need_low) = (t - t / 2, t / 2 + 1);
+        let mut values = [0u64; BATCH_CHUNK];
+        let mut x0 = [0u64; BATCH_CHUNK];
+        let mut x1 = [0u64; BATCH_CHUNK];
+        let mut sq0 = [0u64; BATCH_CHUNK];
+        let mut sq1 = [0u64; BATCH_CHUNK];
+        let mut cu0 = [0u64; BATCH_CHUNK];
+        let mut cu1 = [0u64; BATCH_CHUNK];
+        let unit = [1i64; BATCH_CHUNK];
+        let mut buckets = [0usize; BATCH_CHUNK];
+        let mut signs = [0i64; BATCH_CHUNK];
+        let mut gathered = [0i64; BATCH_CHUNK];
+        let mut high = [[0usize; BATCH_CHUNK]; N];
+        let mut low = [[0usize; BATCH_CHUNK]; N];
+        let mut keys = keys.into_iter();
+        loop {
+            let mut n = 0;
+            for v in keys.by_ref().take(BATCH_CHUNK) {
+                let [a, b, c, d, e, f] = lanes::power_limbs(reduce(v));
+                values[n] = v;
+                x0[n] = a;
+                x1[n] = b;
+                sq0[n] = c;
+                sq1[n] = d;
+                cu0[n] = e;
+                cu1[n] = f;
+                n += 1;
+            }
+            if n == 0 {
+                return dense;
+            }
+            for k in 0..N {
+                high[k][..n].fill(0);
+                low[k][..n].fill(0);
+            }
+            for i in 0..t {
+                schema.bucket_hash[i].bucket_block(&x0[..n], &x1[..n], &mut buckets[..n]);
+                schema.sign[i].signed_weight_block(
+                    &x0[..n],
+                    &x1[..n],
+                    &sq0[..n],
+                    &sq1[..n],
+                    &cu0[..n],
+                    &cu1[..n],
+                    &unit[..n],
+                    &mut signs[..n],
+                );
+                for (k, &(sk, threshold)) in sketches.iter().enumerate() {
+                    // The gather stays a loop of its own: fused with the
+                    // counting it keeps the whole body scalar.
+                    let row = sk.table(i);
+                    for j in 0..n {
+                        gathered[j] = row[buckets[j]];
+                    }
+                    let (high, low) = (&mut high[k][..n], &mut low[k][..n]);
+                    let (gathered, signs) = (&gathered[..n], &signs[..n]);
+                    for j in 0..n {
+                        let c = gathered[j];
+                        let read = if signs[j] < 0 { c.wrapping_neg() } else { c };
+                        high[j] += usize::from(read >= threshold);
+                        low[j] += usize::from(read <= -threshold);
+                    }
+                }
+            }
+            for (k, &(sk, _)) in sketches.iter().enumerate() {
+                for j in 0..n {
+                    if high[k][j] >= need_high || low[k][j] >= need_low {
+                        dense[k].push((values[j], sk.point_estimate(values[j])));
+                    }
+                }
+            }
+        }
     }
 
     /// Estimates the self-join size `F₂` as the median over tables of
@@ -399,6 +524,13 @@ impl StreamSink for HashSketch {
     }
 }
 
+/// Same hash functions (schema parameters) and the same counters.
+impl PartialEq for HashSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.compatible(other) && self.counters == other.counters
+    }
+}
+
 impl LinearSynopsis for HashSketch {
     fn compatible(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.schema, &other.schema)
@@ -410,13 +542,13 @@ impl LinearSynopsis for HashSketch {
     fn merge_from(&mut self, other: &Self) {
         assert!(self.compatible(other), "incompatible hash sketches");
         for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
+            *a = a.wrapping_add(*b);
         }
     }
 
     fn negate(&mut self) {
         for c in &mut self.counters {
-            *c = -*c;
+            *c = c.wrapping_neg();
         }
     }
 

@@ -56,6 +56,30 @@ fn extreme_weights_do_not_overflow_counters() {
 }
 
 #[test]
+fn skim_at_the_edges_of_i64() {
+    // One hostile update puts a frequency at `i64::MIN`, where `abs` and
+    // negation wrap. Counters live in the two's-complement ring, so the
+    // skim must still see it as the heaviest value, extract it, and
+    // subtract it back out to exactly zero — in debug and release alike.
+    let d = Domain::with_log2(10);
+    for schema in [
+        SkimmedSchema::scanning(d, 7, 256, 42),
+        SkimmedSchema::dyadic(d, 7, 256, 42),
+    ] {
+        let mut sk = SkimmedSketch::new(schema);
+        sk.update(Update::with_measure(3, i64::MIN));
+        sk.update(Update::with_measure(700, i64::MAX));
+        let dense = sk.skim(1 << 20, 1 << 16);
+        assert_eq!(dense.get(3), i64::MIN);
+        assert_eq!(dense.get(700), i64::MAX);
+        assert_eq!(dense.len(), 2);
+        for level in sk.level_counters() {
+            assert!(level.iter().all(|&c| c == 0), "residual after the skim");
+        }
+    }
+}
+
+#[test]
 fn agms_single_cell_schema() {
     let schema = AgmsSchema::new(1, 1, 4);
     let mut f = AgmsSketch::new(schema.clone());
